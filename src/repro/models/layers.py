@@ -81,10 +81,21 @@ class LayerSpec:
         Two layers with equal signatures behave identically under the cost
         model, so compiled version tables can be reused between them (and
         across models).
+
+        Every planning and pricing memo keys on it, so it is built once
+        per instance and kept in the instance ``__dict__`` under
+        ``_signature`` — outside the dataclass fields, so equality,
+        hashing and ``repr`` never see it.  It stays a plain property
+        (not ``functools.cached_property``) so the getter can be wrapped
+        on the class.
         """
-        g = self.gemm
-        return (self.kind, g.m, g.n, g.k, self.flops,
-                self.input_bytes, self.weight_bytes, self.output_bytes)
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            g = self.gemm
+            cached = (self.kind, g.m, g.n, g.k, self.flops,
+                      self.input_bytes, self.weight_bytes, self.output_bytes)
+            object.__setattr__(self, "_signature", cached)
+        return cached
 
     @property
     def flops(self) -> int:

@@ -28,13 +28,13 @@ from repro.scheduling.base import (
     block_required_cores,
 )
 
-#: Default bound for the planning memos (block requirements, per-layer
-#: required cores).  Shared by every scheduler that keys plans on
-#: (signature, version, budget, pressure) tuples, and plumbed through
-#: :class:`~repro.serving.server.ServingStack` as ``plan_cache_entries``
-#: so one knob bounds the whole stack's schedulers.  Keyspace size only
-#: affects recompute frequency, never results (entries are
-#: deterministic functions of their keys).
+#: Default bound for the planning memos: the dynamic-block whole-plan
+#: memo keyed (model, start layer, cap, pressure[, batch]), and the
+#: per-layer required-core memos keyed (signature, version, budget,
+#: pressure).  Plumbed through :class:`~repro.serving.server.ServingStack`
+#: as ``plan_cache_entries`` so one knob bounds the whole stack's
+#: schedulers.  Keyspace size only affects recompute frequency, never
+#: results (entries are deterministic functions of their keys).
 DEFAULT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
@@ -102,8 +102,8 @@ class DynamicBlockScheduler(SpatialScheduler):
         if not 0.0 < budget_headroom <= 1.0:
             raise ValueError("budget_headroom must be in (0, 1]")
         self.budget_headroom = budget_headroom
-        self._block_req_cache = PricingCache(
-            max_entries=plan_cache_entries)
+        #: Whole-plan memo, see :meth:`plan`.
+        self._plan_cache = PricingCache(max_entries=plan_cache_entries)
 
     # -- version/requirement hooks (overridden by the full scheduler) -----
 
@@ -141,6 +141,16 @@ class DynamicBlockScheduler(SpatialScheduler):
         return len(query.model.layers)
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
+        """Next block for ``query``: pivot, versions and core demand.
+
+        The whole plan is memoised on ``(model, start, cap, pressure)``
+        (plus the batch size for fused batches).  That is valid because
+        the block boundary and the versions are pure functions of that
+        key: :meth:`version_for` and :meth:`required_cores_for` read only
+        the model, its profile and the pressure, and the budget is a
+        slice of the profile.  A hit therefore skips the pivot walk, the
+        version tuple and :func:`block_required_cores` altogether.
+        """
         available = engine.allocator.available
         if available <= 0:
             return None
@@ -151,22 +161,24 @@ class DynamicBlockScheduler(SpatialScheduler):
                   max(1, profile.avg_cores + threshold))
 
         start = query.next_layer
-        stop = self.find_first_pivot(engine, query, cap, pressure)
-        versions = tuple(self.version_for(query, i, pressure)
-                         for i in range(start, stop))
-        budget = (sum(profile.layer_budgets_s[start:stop])
-                  * self.budget_headroom)
-        key = (query.model.name, start, stop, versions, cap, pressure)
+        key = (query.model.name, start, cap, pressure)
         if query.batch > 1:
-            # Fused batches price against batch-folded layers; a longer
+            # Fused batches plan against batch-scaled profiles; a longer
             # tuple cannot collide with any unit-batch key.
             key = key + (query.batch,)
-        desired = self._block_req_cache.get(key)
-        if desired is None:
+        memo = self._plan_cache.get(key)
+        if memo is None:
+            stop = self.find_first_pivot(engine, query, cap, pressure)
+            versions = tuple(self.version_for(query, i, pressure)
+                             for i in range(start, stop))
+            budget = (sum(profile.layer_budgets_s[start:stop])
+                      * self.budget_headroom)
             desired = block_required_cores(
                 self.cost_model, query, start, stop, versions, budget,
                 interference=pressure, cap=cap)
-            self._block_req_cache.put(key, desired)
+            memo = (stop, versions, desired)
+            self._plan_cache.put(key, memo)
+        stop, versions, desired = memo
         return BlockPlan(
             stop_layer=stop,
             desired_cores=desired,

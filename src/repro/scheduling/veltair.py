@@ -38,11 +38,10 @@ class VeltairScheduler(DynamicBlockScheduler):
                          threshold_policy=threshold_policy,
                          plan_cache_entries=plan_cache_entries)
         self.proxy = proxy
-        # Size-bounded like the engine's PricingCache: long serve loops
-        # and cluster sweeps hit this with every (signature, version,
-        # budget, pressure) combination the stream produces, and an
-        # unbounded dict grows without limit.  Eviction only costs a
-        # deterministic recompute, so results are unchanged.
+        # Per-layer requirements keyed (signature, version, budget,
+        # pressure), read only by the pivot walk of a whole-plan miss.
+        # Size-bounded by the same knob as the plan memo: eviction only
+        # costs a deterministic recompute, so results are unchanged.
         self._required_cache = PricingCache(
             max_entries=plan_cache_entries)
 

@@ -328,7 +328,7 @@ class TestPlanCacheBound:
         # Steady state: the capped memo never exceeds its bound, and
         # eviction only forces recomputes — results are bit-identical.
         assert len(tiny._required_cache) <= 8
-        assert len(tiny._block_req_cache) <= 8
+        assert len(tiny._plan_cache) <= 8
         assert tiny._required_cache.evictions > 0
         finished_a = {q.query_id: q.finished_s for q in done_a}
         finished_b = {q.query_id: q.finished_s for q in done_b}
@@ -341,5 +341,5 @@ class TestPlanCacheBound:
             scheduler = stack.make_scheduler(policy)
             cache = getattr(scheduler, "_required_cache", None)
             if cache is None:
-                cache = scheduler._block_req_cache
+                cache = scheduler._plan_cache
             assert cache.max_entries == 32
