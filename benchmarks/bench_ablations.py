@@ -14,7 +14,7 @@ from repro.scheduling.dynamic_block import (
 )
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.metrics import summarize
-from repro.serving.workload import uniform_queries
+from repro.serving.workload import scenario_queries, single_model
 
 
 class _PinnedThreshold(ProportionalThresholdPolicy):
@@ -26,7 +26,8 @@ class _PinnedThreshold(ProportionalThresholdPolicy):
 
 
 def _run(stack, scheduler, qps, count):
-    queries = uniform_queries(stack.compiled, "resnet50", qps, count)
+    queries = scenario_queries(stack.compiled, "uniform", qps, count,
+                               spec=single_model("resnet50"))
     engine = Engine(stack.cost_model)
     done = engine.run(queries, scheduler)
     return summarize(done, engine.metrics, qps)
@@ -113,8 +114,9 @@ def test_ablation_soon_to_finish(stack, benchmark, bench_queries):
         rows = {}
         for label, threshold in (("filter on (10%)", 0.10),
                                  ("filter off", 0.0)):
-            queries = uniform_queries(stack.compiled, "resnet50", qps,
-                                      bench_queries)
+            queries = scenario_queries(stack.compiled, "uniform", qps,
+                                       bench_queries,
+                                       spec=single_model("resnet50"))
             engine = Engine(stack.cost_model)
             engine.soon_to_finish_threshold = threshold
             scheduler = VeltairScheduler(stack.cost_model, stack.profiles,

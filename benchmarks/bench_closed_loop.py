@@ -43,7 +43,7 @@ from repro.cluster import AdmissionPolicy, Cluster, homogeneous
 from repro.hardware.platform import DATACENTER_ACCEL_80
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.serving.server import ServingStack
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.workloads import ClosedLoopSpec, ScenarioSpec
 
 MODELS = ("mobilenet_v2", "googlenet")
@@ -141,8 +141,8 @@ def run_batching(stack: ServingStack, count: int,
     spec = WorkloadSpec(name="mono", entries=(("mobilenet_v2", 1.0),))
 
     def serve(batching: BatchPolicy | None):
-        queries = poisson_queries(stack.compiled, spec, qps=BATCH_QPS,
-                                  count=count, seed=seed)
+        queries = scenario_queries(stack.compiled, "poisson", BATCH_QPS,
+                                   count, seed=seed, spec=spec)
         for query in queries:
             query.qos_s *= BATCH_QOS_SCALE
         engine = Engine(runtime.cost_model,

@@ -35,7 +35,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.serving.metrics import ServingReport, summarize
 from repro.serving.server import ServingStack
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 FULL_MODELS = ("mobilenet_v2", "efficientnet_b0", "tiny_yolov2",
                "googlenet", "resnet50")
@@ -56,7 +56,8 @@ class ModeResult:
 def _run_mode(stack: ServingStack, policy: str, spec: WorkloadSpec,
               qps: float, count: int, seed: int, incremental: bool,
               cache: PricingCache) -> ModeResult:
-    queries = poisson_queries(stack.compiled, spec, qps, count, seed=seed)
+    queries = scenario_queries(stack.compiled, "poisson", qps, count,
+                               seed=seed, spec=spec)
     engine = Engine(stack.cost_model, price_cache=cache,
                     incremental=incremental)
     scheduler = stack.make_scheduler(policy)

@@ -12,7 +12,7 @@ from conftest import record
 
 from repro.models.registry import get_entry, model_names
 from repro.runtime.engine import Engine
-from repro.serving.workload import uniform_queries
+from repro.serving.workload import scenario_queries, single_model
 
 
 def test_table2_models(stack, benchmark):
@@ -45,7 +45,8 @@ def test_table2_models(stack, benchmark):
 
 def test_sec55_scheduler_overhead(stack, benchmark):
     scheduler = stack.make_scheduler("veltair_full")
-    queries = uniform_queries(stack.compiled, "resnet50", 100.0, 30)
+    queries = scenario_queries(stack.compiled, "uniform", 100.0, 30,
+                               spec=single_model("resnet50"))
     engine = Engine(stack.cost_model)
 
     calls = 0

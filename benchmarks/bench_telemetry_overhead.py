@@ -45,7 +45,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.serving.metrics import ServingReport, summarize
 from repro.serving.server import ServingStack
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.telemetry import (
     Tracer,
     summarize_trace,
@@ -73,7 +73,8 @@ class ModeResult:
 def _run_mode(stack: ServingStack, spec: WorkloadSpec, qps: float,
               count: int, seed: int, cache: PricingCache,
               tracer: Tracer | None) -> ModeResult:
-    queries = poisson_queries(stack.compiled, spec, qps, count, seed=seed)
+    queries = scenario_queries(stack.compiled, "poisson", qps, count,
+                               seed=seed, spec=spec)
     engine = Engine(stack.cost_model, price_cache=cache,
                     tracer=(tracer.bind("node0")
                             if tracer is not None else None))
@@ -142,8 +143,8 @@ def _fleet_pair(stack: ServingStack, spec: WorkloadSpec, qps: float,
     """Serve the same stream through a 2-node fleet, traced and not."""
 
     def fresh_stream():
-        return poisson_queries(stack.compiled, spec, qps, count,
-                               seed=seed)
+        return scenario_queries(stack.compiled, "poisson", qps, count,
+                                seed=seed, spec=spec)
 
     fleet = homogeneous(2)
     plain = Cluster(stack, fleet).serve(fresh_stream(), offered_qps=qps)

@@ -14,7 +14,7 @@ Run:  python examples/autopilot_scenario.py
 
 import os
 
-from repro.serving import ServingStack, WorkloadSpec, poisson_queries
+from repro.serving import ServingStack, WorkloadSpec, scenario_queries
 from repro.serving.metrics import summarize
 
 TRIALS = int(os.environ.get("REPRO_EXAMPLE_TRIALS", "192"))
@@ -39,8 +39,8 @@ def main() -> None:
     print(f"Aggregate sensor load: {total_fps:.0f} inferences/second\n")
 
     for policy in ("model_fcfs", "layerwise", "veltair_full"):
-        queries = poisson_queries(stack.compiled, CAMERA_MIX, total_fps,
-                                  QUERIES, seed=7)
+        queries = scenario_queries(stack.compiled, "poisson", total_fps,
+                                   QUERIES, seed=7, spec=CAMERA_MIX)
         completed, engine = stack.run(policy, queries)
         report = summarize(completed, engine.metrics, total_fps)
         by_model = {}

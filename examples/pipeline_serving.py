@@ -31,7 +31,7 @@ from repro.cluster import AdmissionPolicy, Cluster, homogeneous
 from repro.hardware.platform import DATACENTER_ACCEL_80
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.serving import ServingStack, WorkloadSpec
-from repro.serving.workload import poisson_queries
+from repro.serving.workload import scenario_queries
 from repro.workloads import get_scenario
 
 TRIALS = int(os.environ.get("REPRO_EXAMPLE_TRIALS", "192"))
@@ -102,8 +102,8 @@ def main() -> None:
           f"at 3600 QPS on one {DATACENTER_ACCEL_80.name} node, QoS x8")
 
     def accel_serve(batching: BatchPolicy | None):
-        queries = poisson_queries(stack.compiled, spec, qps=3600.0,
-                                  count=batch_count, seed=7)
+        queries = scenario_queries(stack.compiled, "poisson", 3600.0,
+                                   batch_count, seed=7, spec=spec)
         for query in queries:
             query.qos_s *= 8.0
         engine = Engine(runtime.cost_model,

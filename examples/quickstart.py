@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import os
 
-from repro.serving import LIGHT_MIX, ServingStack, poisson_queries
+from repro.serving import LIGHT_MIX, ServingStack, scenario_queries
 from repro.serving.metrics import summarize
 from repro.telemetry import save_env_trace, tracer_from_env
 
@@ -40,8 +40,8 @@ def main() -> None:
     tracer = tracer_from_env(run_id="quickstart",
                              meta={"qps": qps, "queries": QUERIES})
     for policy in ("layerwise", "veltair_full"):
-        queries = poisson_queries(stack.compiled, LIGHT_MIX, qps, QUERIES,
-                                  seed=42)
+        queries = scenario_queries(stack.compiled, "poisson", qps, QUERIES,
+                                   seed=42, spec=LIGHT_MIX)
         completed, engine = stack.run(
             policy, queries,
             tracer=tracer if policy == "veltair_full" else None)

@@ -3,7 +3,7 @@
 Quick suite (what CI ratchets on, ``--quick``):
 
 * ``scenario_capacity`` — capacity under every arrival shape, plus the
-  legacy-vs-scenario Poisson cross-check (must agree to 1e-9).
+  default-vs-``"poisson"`` cross-check (must agree to 1e-9).
 * ``scenario_service``  — QoS satisfaction / latency per scenario at a
   fixed mean load.
 * ``trace_roundtrip``   — record -> save -> load -> replay equality,
@@ -78,17 +78,18 @@ def _run_scenario_capacity(ctx: BenchContext) -> list[BenchResult]:
     info: dict[str, object] = {}
     lines = [f"{'scenario':14s} {'policy':14s} {'capacity':>9s} "
              f"{'sat':>7s}"]
-    # Legacy path (scenario=None) vs the "poisson" scenario: the
-    # acceptance cross-check that the default scenario reproduces
-    # pre-scenario capacity numbers.
+    # The default stream (scenario=None) vs the named "poisson"
+    # scenario: the cross-check that the default is the paper's
+    # stationary Poisson stream.
     deltas = []
     for policy in ("layerwise", "veltair_full"):
-        legacy = capacity(stack, policy, spec, **search)
+        default = capacity(stack, policy, spec, **search)
         scen = capacity(stack, policy, spec, scenario="poisson", **search)
-        metrics[f"capacity_{policy}"] = legacy.qps
-        deltas.append(abs(legacy.qps - scen.qps))
-        lines.append(f"{'(legacy)':14s} {policy:14s} {legacy.qps:8.0f}q "
-                     f"{legacy.report.satisfaction_rate:7.2%}")
+        metrics[f"capacity_{policy}"] = default.qps
+        deltas.append(abs(default.qps - scen.qps))
+        lines.append(f"{'(default)':14s} {policy:14s} "
+                     f"{default.qps:8.0f}q "
+                     f"{default.report.satisfaction_rate:7.2%}")
     metrics["poisson_equivalence_max_abs"] = max(deltas)
 
     for shape in _SHAPES:
@@ -224,7 +225,7 @@ def _run_compile_cache(ctx: BenchContext) -> list[BenchResult]:
     from repro.compiler.artifacts import ArtifactStore
     from repro.serving.metrics import summarize
     from repro.serving.server import ServingStack
-    from repro.serving.workload import poisson_queries
+    from repro.serving.workload import scenario_queries
 
     spec = _quick_spec()
     qps = 150.0
@@ -253,8 +254,8 @@ def _run_compile_cache(ctx: BenchContext) -> list[BenchResult]:
                         warm_stack.compiled[name].layers))
 
     def report(stack: ServingStack):
-        queries = poisson_queries(stack.compiled, spec, qps,
-                                  ctx.queries, seed=seed)
+        queries = scenario_queries(stack.compiled, "poisson", qps,
+                                   ctx.queries, seed=seed, spec=spec)
         completed, engine = stack.run("veltair_full", queries)
         return summarize(completed, engine.metrics, qps)
 
@@ -304,8 +305,8 @@ _TRACE_TOL = {"single_node_max_abs_delta": _EXACT,
 
 register_benchmark(Benchmark(
     name="scenario_capacity", kind="native", quick=True,
-    description="capacity per arrival shape + legacy/scenario "
-                "Poisson cross-check",
+    description="capacity per arrival shape + default/poisson "
+                "scenario cross-check",
     runner=_run_scenario_capacity,
     tolerances=_SCENARIO_CAPACITY_TOL, default_tolerance=_CAPACITY))
 register_benchmark(Benchmark(

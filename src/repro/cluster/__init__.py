@@ -40,7 +40,6 @@ from repro.cluster.experiments import (
     AutoscalePoint,
     ClusterCapacityResult,
     cluster_capacity,
-    cluster_sweep_pool,
     sweep_autoscale,
     sweep_cluster_qps,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "AutoscaleController", "AutoscalePolicy", "FleetSignals",
     "ScalingEvent",
     "AutoscalePoint", "ClusterCapacityResult", "cluster_capacity",
-    "cluster_sweep_pool", "sweep_autoscale", "sweep_cluster_qps",
+    "sweep_autoscale", "sweep_cluster_qps",
     "Cluster", "ClusterNode",
     "ClusterReport", "NodeReport", "rollup",
     "PipelineRollup", "SessionReport", "StageReport",

@@ -1,15 +1,15 @@
 """Fleet-level experiment drivers: load sweeps and capacity searches.
 
-The cluster analogues of :mod:`repro.serving.experiments`, riding on the
-same worker-pool layer: every offered-load point is an independent fleet
-simulation, so a sweep fans points out over ``fork``-ed workers (the
-compiled stack travels by copy-on-write, never pickled) and falls back
-to the serial in-process path on platforms without ``fork``.
+The cluster analogues of :mod:`repro.serving.experiments`, on the same
+sweep primitive: a fleet simulation is a frozen :class:`FleetSweep` (or
+:class:`AutoscaleSweep`) point that :func:`repro.parallel.sweep` maps
+over the offered loads, fanning them out over ``fork``-ed workers (the
+compiled stack travels by copy-on-write, never pickled) or running them
+serially in-process on platforms without ``fork``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.admission import AdmissionPolicy
@@ -17,75 +17,48 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fleet import Cluster
 from repro.cluster.metrics import ClusterReport
 from repro.cluster.spec import ClusterSpec
-from repro.serving.experiments import fork_worker_pool
-from repro.serving.metrics import max_qps_at_satisfaction
-from repro.serving.server import ServingStack
-from repro.workloads.scenario import resolve_scenario
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
+from repro.parallel import sweep
+from repro.serving.experiments import (
+    open_loop_scenario,
+    search_capacity,
+    warm_models,
 )
-
-#: Sweep description inherited by fork()-ed workers, exactly like
-#: ``repro.serving.experiments._SWEEP_STATE``.
-_CLUSTER_STATE: tuple | None = None
+from repro.serving.server import ServingStack
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 
-def _run_cluster_point(stack: ServingStack, cluster_spec: ClusterSpec,
-                       router: str, admission: AdmissionPolicy | None,
-                       spec: WorkloadSpec, qps: float, count: int,
-                       seed: int | None, scenario=None) -> ClusterReport:
-    """Simulate one fleet offered-load point and roll it up."""
-    cluster = Cluster(stack, cluster_spec, router=router,
-                      admission=admission)
-    return cluster.report(spec, qps, count, seed=seed, scenario=scenario)
+@dataclass(frozen=True)
+class FleetSweep:
+    """A fleet serving ``count`` queries of ``spec`` through ``router``.
 
-
-def _cluster_worker(qps: float) -> ClusterReport:
-    (stack, cluster_spec, router, admission, spec, count, seed,
-     scenario) = _CLUSTER_STATE
-    return _run_cluster_point(stack, cluster_spec, router, admission,
-                              spec, qps, count, seed, scenario)
-
-
-@contextlib.contextmanager
-def cluster_sweep_pool(stack: ServingStack, cluster_spec: ClusterSpec,
-                       spec: WorkloadSpec, count: int,
-                       router: str = "pressure_aware",
-                       admission: AdmissionPolicy | None = None,
-                       seed: int | None = None, workers: int = 2,
-                       scenario=None):
-    """A persistent fork pool for *repeated* sweeps of one fleet scenario.
-
-    The cluster twin of :func:`repro.serving.experiments.sweep_pool`,
-    with the same rationale: workers survive across
-    :func:`sweep_cluster_qps` calls so their copy-on-write pricing
-    caches stay warm from one capacity-search round to the next.  Pool
-    lifecycle and the fail-soft contract (``None`` on platforms without
-    ``fork``, which the sweep treats as the serial path) are shared
-    with the serving layer via :func:`fork_worker_pool`.
+    The sweep point of the fleet drivers: calling it with an offered
+    load simulates that load fleet-wide and returns its rollup.
     """
-    global _CLUSTER_STATE
-    scenario = resolve_scenario(scenario)
-    # Warm the lazily built artifacts and per-device runtimes before
-    # forking so children inherit the compiled models, scheduling
-    # profiles, cost models, and proxies by copy-on-write instead of
-    # each rebuilding them privately.
-    stack.ensure_compiled()
-    for name in stack.model_names:
-        _ = stack.profiles[name]
-    for device in cluster_spec.device_specs:
-        stack.runtime_for(device)
-    _CLUSTER_STATE = (stack, cluster_spec, router, admission, spec,
-                      count, seed, scenario)
-    try:
-        with fork_worker_pool(workers) as pool:
-            if pool is not None:
-                pool._repro_cluster_state = _CLUSTER_STATE
-            yield pool
-    finally:
-        _CLUSTER_STATE = None
+
+    stack: ServingStack
+    cluster_spec: ClusterSpec
+    spec: WorkloadSpec
+    count: int
+    router: str = "pressure_aware"
+    admission: AdmissionPolicy | None = None
+    seed: int | None = None
+    scenario: object = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scenario",
+                           open_loop_scenario(self.scenario))
+
+    def warm(self) -> None:
+        """Build models, profiles and per-device runtimes pre-fork."""
+        warm_models(self.stack)
+        for device in self.cluster_spec.device_specs:
+            self.stack.runtime_for(device)
+
+    def __call__(self, qps: float) -> ClusterReport:
+        cluster = Cluster(self.stack, self.cluster_spec,
+                          router=self.router, admission=self.admission)
+        return cluster.report(self.spec, float(qps), self.count,
+                              seed=self.seed, scenario=self.scenario)
 
 
 def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
@@ -98,47 +71,13 @@ def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
     """One :class:`ClusterReport` per offered load, optionally parallel.
 
     Same contract as :func:`repro.serving.experiments.sweep_qps`: every
-    point is deterministic per (seed, qps), workers > 1 forks a pool,
-    platforms without ``fork`` fail soft to the serial path, and a
-    :func:`cluster_sweep_pool` passed as ``pool`` reuses warm workers
-    across calls (its baked-in scenario must match these arguments).
+    point is deterministic per (seed, qps), ``workers > 1`` forks a
+    pool, and a :func:`repro.parallel.sweep_pool` built for the equal
+    :class:`FleetSweep` passed as ``pool`` reuses warm workers.
     """
-    qps_list = [float(qps) for qps in qps_values]
-    if not qps_list:
-        return []
-    scenario = resolve_scenario(scenario)
-    if pool is not None:
-        baked = getattr(pool, "_repro_cluster_state", None)
-        if baked != (stack, cluster_spec, router, admission, spec, count,
-                     seed, scenario):
-            raise ValueError(
-                "pool was created for a different fleet scenario; build "
-                "it with cluster_sweep_pool(...) using these same "
-                "arguments")
-        try:
-            return pool.map(_cluster_worker, qps_list)
-        except OSError:
-            # Worker/pipe died mid-run: recompute this batch serially
-            # rather than aborting the capacity search.
-            return [_run_cluster_point(stack, cluster_spec, router,
-                                       admission, spec, qps, count, seed,
-                                       scenario)
-                    for qps in qps_list]
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(qps_list))
-    if requested > 1:
-        with cluster_sweep_pool(stack, cluster_spec, spec, count,
-                                router=router, admission=admission,
-                                seed=seed, workers=requested,
-                                scenario=scenario) as ephemeral:
-            if ephemeral is not None:
-                try:
-                    return ephemeral.map(_cluster_worker, qps_list)
-                except OSError:
-                    pass  # worker/pipe died mid-run: recompute serially
-    return [_run_cluster_point(stack, cluster_spec, router, admission,
-                               spec, qps, count, seed, scenario)
-            for qps in qps_list]
+    point = FleetSweep(stack, cluster_spec, spec, count, router=router,
+                       admission=admission, seed=seed, scenario=scenario)
+    return sweep(point, qps_values, workers=workers, pool=pool)
 
 
 @dataclass(frozen=True)
@@ -172,49 +111,57 @@ class AutoscalePoint:
         return self.autoscaled.node_seconds / self.static.node_seconds
 
 
-#: Autoscale sweep description inherited by fork()-ed workers.
-_AUTOSCALE_STATE: tuple | None = None
+@dataclass(frozen=True)
+class AutoscaleSweep:
+    """A static-peak and an autoscaled fleet serving the same stream.
 
-
-def _run_autoscale_point(stack: ServingStack, static_spec: ClusterSpec,
-                         initial_spec: ClusterSpec,
-                         policy: AutoscalePolicy, router: str,
-                         admission: AdmissionPolicy | None,
-                         spec: WorkloadSpec, scenario, qps: float,
-                         count: int, seed: int | None) -> AutoscalePoint:
-    """Serve one identical stream through both fleets, pair the reports.
-
-    Engines mutate queries, so each fleet gets its own regeneration of
-    the same seeded stream (bit-identical arrivals and model draws).
+    The sweep point of :func:`sweep_autoscale`; its loads are
+    ``(scenario, qps)`` cells with the scenario already resolved.
     """
-    scenario = resolve_scenario(scenario)
-    effective_seed = stack.seed if seed is None else seed
-    scenario_name = scenario.name if scenario is not None else "poisson"
 
-    def stream():
-        if scenario is not None:
-            return scenario_queries(stack.compiled, scenario, qps, count,
-                                    seed=effective_seed, spec=spec)
-        return poisson_queries(stack.compiled, spec, qps, count,
-                               seed=effective_seed)
+    stack: ServingStack
+    static_spec: ClusterSpec
+    initial_spec: ClusterSpec
+    policy: AutoscalePolicy
+    spec: WorkloadSpec
+    count: int
+    router: str = "pressure_aware"
+    admission: AdmissionPolicy | None = None
+    seed: int | None = None
 
-    static = Cluster(stack, static_spec, router=router,
-                     admission=admission).serve(stream(), offered_qps=qps)
-    autoscaled = Cluster(stack, initial_spec, router=router,
-                         admission=admission,
-                         autoscale=policy).serve(stream(),
-                                                 offered_qps=qps)
-    return AutoscalePoint(scenario=scenario_name, qps=qps, static=static,
-                          autoscaled=autoscaled)
+    def warm(self) -> None:
+        """Build models, profiles and every member's runtime pre-fork."""
+        warm_models(self.stack)
+        # dict.fromkeys, not set(): stable first-seen dedup order, so
+        # runtimes warm (and the stack's runtime map fills) in the same
+        # order every run regardless of PYTHONHASHSEED.
+        for device in dict.fromkeys(self.initial_spec.device_specs
+                                    + self.static_spec.device_specs
+                                    + (self.policy.template.device,)):
+            self.stack.runtime_for(device)
 
+    def __call__(self, cell: tuple) -> AutoscalePoint:
+        """Serve one identical stream through both fleets, pair reports.
 
-def _autoscale_worker(point: tuple) -> AutoscalePoint:
-    (stack, static_spec, initial_spec, policy, router, admission,
-     spec, count, seed) = _AUTOSCALE_STATE
-    scenario, qps = point
-    return _run_autoscale_point(stack, static_spec, initial_spec, policy,
-                                router, admission, spec, scenario, qps,
-                                count, seed)
+        Engines mutate queries, so each fleet gets its own regeneration
+        of the same seeded stream (bit-identical arrivals and draws).
+        """
+        scenario, qps = cell
+        seed = self.stack.seed if self.seed is None else self.seed
+
+        def stream():
+            return scenario_queries(self.stack.compiled, scenario, qps,
+                                    self.count, seed=seed, spec=self.spec)
+
+        static = Cluster(self.stack, self.static_spec, router=self.router,
+                         admission=self.admission).serve(
+                             stream(), offered_qps=qps)
+        autoscaled = Cluster(self.stack, self.initial_spec,
+                             router=self.router, admission=self.admission,
+                             autoscale=self.policy).serve(
+                                 stream(), offered_qps=qps)
+        return AutoscalePoint(scenario=scenario.name, qps=qps,
+                              static=static, autoscaled=autoscaled)
 
 
 def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
@@ -231,42 +178,14 @@ def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
     autoscaled fleet's starting membership (typically ``min_nodes``
     small nodes), and each point serves the *same* seeded stream
     through both.  ``workers > 1`` fans cells over the fork pool
-    exactly like :func:`sweep_cluster_qps`; platforms without ``fork``
-    fail soft to the serial path.
+    exactly like :func:`sweep_cluster_qps`.
     """
-    cells = [(resolve_scenario(scenario), float(qps))
+    cells = [(open_loop_scenario(scenario), float(qps))
              for scenario, qps in points]
-    if not cells:
-        return []
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(cells))
-    if requested > 1:
-        global _AUTOSCALE_STATE
-        stack.ensure_compiled()
-        for name in stack.model_names:
-            _ = stack.profiles[name]
-        # dict.fromkeys, not set(): stable first-seen dedup order, so
-        # runtimes warm (and the stack's runtime map fills) in the same
-        # order every run regardless of PYTHONHASHSEED.
-        for device in dict.fromkeys(initial_spec.device_specs
-                                    + static_spec.device_specs
-                                    + (policy.template.device,)):
-            stack.runtime_for(device)
-        _AUTOSCALE_STATE = (stack, static_spec, initial_spec, policy,
-                            router, admission, spec, count, seed)
-        try:
-            with fork_worker_pool(requested) as pool:
-                if pool is not None:
-                    try:
-                        return pool.map(_autoscale_worker, cells)
-                    except OSError:
-                        pass  # worker/pipe died: recompute serially
-        finally:
-            _AUTOSCALE_STATE = None
-    return [_run_autoscale_point(stack, static_spec, initial_spec, policy,
-                                 router, admission, spec, scenario, qps,
-                                 count, seed)
-            for scenario, qps in cells]
+    point = AutoscaleSweep(stack, static_spec, initial_spec, policy, spec,
+                           count, router=router, admission=admission,
+                           seed=seed)
+    return sweep(point, cells, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -294,34 +213,15 @@ def cluster_capacity(stack: ServingStack, cluster_spec: ClusterSpec,
 
     The fleet version of the paper's Fig. 12 metric: shed queries count
     as QoS violations, so admission control cannot buy capacity by
-    rejecting its way to a clean satisfaction rate.  ``workers > 1``
-    batches each bisection round's probes across one persistent
-    :func:`cluster_sweep_pool`, so worker pricing caches stay warm
-    across rounds.
+    rejecting its way to a clean satisfaction rate.  The bisection is
+    :func:`repro.serving.experiments.search_capacity`, shared with the
+    single-node :func:`~repro.serving.experiments.capacity`.
     """
-    batch = 1 if workers is None else max(1, int(workers))
-    scenario = resolve_scenario(scenario)
-
-    def search(pool) -> tuple[float, ClusterReport]:
-        def run_batch(qps_values: list[float]) -> list[ClusterReport]:
-            return sweep_cluster_qps(stack, cluster_spec, spec,
-                                     qps_values, count, router=router,
-                                     admission=admission, seed=seed,
-                                     pool=pool, scenario=scenario)
-
-        return max_qps_at_satisfaction(
-            run_batch=run_batch, batch=batch, target=target,
-            low_qps=low_qps, high_qps=high_qps,
-            tolerance_qps=tolerance_qps)
-
-    if batch > 1:
-        with cluster_sweep_pool(stack, cluster_spec, spec, count,
-                                router=router, admission=admission,
-                                seed=seed, workers=batch,
-                                scenario=scenario) as pool:
-            qps, report = search(pool)
-    else:
-        qps, report = search(None)
+    qps, report = search_capacity(
+        FleetSweep(stack, cluster_spec, spec, count, router=router,
+                   admission=admission, seed=seed, scenario=scenario),
+        workers=workers, target=target, low_qps=low_qps,
+        high_qps=high_qps, tolerance_qps=tolerance_qps)
     return ClusterCapacityResult(router=router, cluster=cluster_spec.name,
                                  workload=spec.name, qps=qps,
                                  report=report)

@@ -60,11 +60,7 @@ from repro.runtime.tasks import Query
 from repro.telemetry.tracer import FLEET_SIGNAL_FIELDS
 from repro.serving.metrics import summarize
 from repro.serving.server import ServingStack
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 #: Serve-loop event kinds (never compared: sequence numbers are unique).
 _OFFER = "offer"
@@ -81,13 +77,12 @@ class ClusterNode:
     """
 
     def __init__(self, index: int, spec: NodeSpec, stack: ServingStack,
-                 incremental: bool = True, tracer=None) -> None:
+                 tracer=None) -> None:
         self.index = index
         self.spec = spec
         self.runtime = stack.runtime_for(spec.device)
         self.engine = Engine(self.runtime.cost_model,
                              price_cache=self.runtime.price_cache,
-                             incremental=incremental,
                              tracer=(tracer.bind(spec.name)
                                      if tracer is not None else None))
         self.scheduler = stack.make_scheduler(spec.policy,
@@ -157,14 +152,12 @@ class Cluster:
     def __init__(self, stack: ServingStack, spec: ClusterSpec,
                  router: str | Router = "pressure_aware",
                  admission: AdmissionPolicy | None = None,
-                 autoscale: AutoscalePolicy | None = None,
-                 incremental: bool = True) -> None:
+                 autoscale: AutoscalePolicy | None = None) -> None:
         self.stack = stack
         self.spec = spec
         self.router = router
         self.admission = admission
         self.autoscale = autoscale
-        self.incremental = incremental
         #: Every node of the most recent :meth:`serve`, in provision
         #: order, retired ones included (debugging handle).
         self.last_nodes: list[ClusterNode] | None = None
@@ -181,8 +174,7 @@ class Cluster:
         self._stream_hook = None
 
     def _build_nodes(self, tracer=None) -> list[ClusterNode]:
-        return [ClusterNode(index, node_spec, self.stack,
-                            incremental=self.incremental, tracer=tracer)
+        return [ClusterNode(index, node_spec, self.stack, tracer=tracer)
                 for index, node_spec in enumerate(self.spec.nodes)]
 
     def _build_router(self) -> Router:
@@ -200,8 +192,7 @@ class Cluster:
         """
         spec = NodeSpec(name=name, device=self.autoscale.template.device,
                         policy=self.autoscale.template.policy)
-        node = ClusterNode(len(all_nodes), spec, self.stack,
-                           incremental=self.incremental, tracer=tracer)
+        node = ClusterNode(len(all_nodes), spec, self.stack, tracer=tracer)
         node.engine.on_complete = self._stream_hook
         node.state = WARMING
         node.provisioned_s = now
@@ -649,12 +640,7 @@ class Cluster:
         ``qps`` — the fleet twin of ``ServingStack.report``.
         ``tracer`` records the serve (see :meth:`serve`).
         """
-        effective_seed = self.stack.seed if seed is None else seed
-        if scenario is not None:
-            queries = scenario_queries(self.stack.compiled, scenario,
-                                       qps, count, seed=effective_seed,
-                                       spec=spec)
-        else:
-            queries = poisson_queries(self.stack.compiled, spec, qps,
-                                      count, seed=effective_seed)
+        queries = scenario_queries(
+            self.stack.compiled, scenario, qps, count,
+            seed=self.stack.seed if seed is None else seed, spec=spec)
         return self.serve(queries, offered_qps=qps, tracer=tracer)

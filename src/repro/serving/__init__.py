@@ -20,9 +20,8 @@ from repro.serving.workload import (
     WorkloadSpec,
     class_mix,
     full_mix,
-    poisson_queries,
+    scenario_queries,
     single_model,
-    uniform_queries,
 )
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
     "sweep_qps",
     "ServingReport", "max_qps_at_satisfaction", "summarize",
     "POLICIES", "ServingStack",
-    "WorkloadSpec", "class_mix", "full_mix", "poisson_queries",
-    "single_model", "uniform_queries",
+    "WorkloadSpec", "class_mix", "full_mix", "scenario_queries",
+    "single_model",
     "LIGHT_MIX", "MEDIUM_MIX", "HEAVY_MIX",
 ]

@@ -4,16 +4,18 @@ Each function maps onto one evaluation protocol of Sec. 5; the benchmark
 modules parameterise them per figure and print the paper-shaped series.
 
 The load axis is the expensive one — every point of a QPS sweep is an
-independent simulation — so :func:`sweep_qps` batches points and can
-fan them out over ``fork``-ed worker processes.  The capacity search
-(:func:`capacity`, the Fig. 12 protocol) and the latency curves
-(:func:`reports_over_qps`, Fig. 13) both run through it; with
-``workers=1`` every call reduces to the classic sequential protocol.
+independent simulation — so every driver describes its simulation as a
+frozen :class:`NodeSweep` and maps it over the offered loads with
+:func:`repro.parallel.sweep`, which can fan the loads out over
+``fork``-ed worker processes.  The capacity search (:func:`capacity`,
+the Fig. 12 protocol) and the latency curves (:func:`reports_over_qps`,
+Fig. 13) both run through it; with ``workers=1`` every call reduces to
+the classic sequential protocol.
 
 Every driver accepts a ``scenario`` (:class:`repro.workloads.ScenarioSpec`
 or registered name): the arrival shape the sweep scales to each offered
-load.  ``None`` keeps the legacy stationary-Poisson path, which the
-``"poisson"`` scenario reproduces bit for bit.
+load.  ``None`` is the paper's stationary Poisson stream, the
+``"poisson"`` scenario.
 """
 
 from __future__ import annotations
@@ -21,46 +23,27 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.parallel import fork_worker_pool
-from repro.serving.metrics import (
-    ServingReport,
-    max_qps_at_satisfaction,
-    summarize,
-)
+from repro.parallel import sweep, sweep_pool
+from repro.serving.metrics import ServingReport, max_qps_at_satisfaction
 from repro.serving.server import ServingStack
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-    uniform_queries,
-)
-
-#: Sweep description inherited by fork()-ed workers: (stack, policy,
-#: spec, count, seed, uniform, scenario).  Module-level so the child
-#: processes see it through copy-on-write instead of pickling the
-#: compiled stack.
-_SWEEP_STATE: tuple | None = None
+from repro.serving.workload import WorkloadSpec
 
 
-def _resolve_scenario(scenario):
-    """Registered name -> spec (specs and ``None`` pass through).
-
-    Thin lazy-import shim over
-    :func:`repro.workloads.scenario.resolve_scenario` —
-    ``repro.workloads`` sits above this module in the layering.
+def open_loop_scenario(scenario):
+    """Registered name or spec -> spec; ``None`` -> ``"poisson"``.
 
     Request-model scenarios (``closed_loop``/``pipeline``) are rejected
-    up front: these open-loop sweep drivers pre-draw a fixed stream per
-    QPS point, which a completion-driven scenario cannot express — run
-    those through :meth:`ServingStack.run_stream
+    up front: the open-loop sweep drivers pre-draw a fixed stream per
+    load, which a completion-driven scenario cannot express — run those
+    through :meth:`ServingStack.run_stream
     <repro.serving.server.ServingStack.run_stream>` or
     :meth:`Cluster.serve_stream <repro.cluster.fleet.Cluster.serve_stream>`.
+    (Import is lazy: ``repro.workloads`` sits above this module in the
+    layering.)
     """
-    if scenario is None:
-        return None
     from repro.workloads.scenario import resolve_scenario
     resolved = resolve_scenario(scenario)
-    if resolved is not None and resolved.request_model:
+    if resolved.request_model:
         raise ValueError(
             f"scenario {resolved.name!r} uses the request model "
             "(closed-loop/pipeline); open-loop sweeps cannot drive it — "
@@ -68,77 +51,51 @@ def _resolve_scenario(scenario):
     return resolved
 
 
-def _run_point(stack: ServingStack, policy: str, spec: WorkloadSpec,
-               qps: float, count: int, seed: int | None,
-               uniform: bool, scenario=None) -> ServingReport:
-    """Simulate one offered-load point and summarise it."""
-    if scenario is not None:
-        queries = scenario_queries(
-            stack.compiled, scenario, qps, count,
-            seed=stack.seed if seed is None else seed, spec=spec)
-    elif uniform:
-        queries = uniform_queries(stack.compiled, spec.models[0], qps,
-                                  count)
-    else:
-        queries = poisson_queries(stack.compiled, spec, qps, count,
-                                  seed=stack.seed if seed is None else seed)
-    completed, engine = stack.run(policy, queries)
-    return summarize(completed, engine.metrics, qps)
-
-
-def _sweep_worker(qps: float) -> ServingReport:
-    stack, policy, spec, count, seed, uniform, scenario = _SWEEP_STATE
-    return _run_point(stack, policy, spec, qps, count, seed, uniform,
-                      scenario)
-
-
-@contextlib.contextmanager
-def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
-               count: int, seed: int | None = None,
-               uniform: bool = False, workers: int = 2,
-               scenario=None):
-    """A persistent fork pool for *repeated* sweeps of one scenario.
-
-    Workers survive across :func:`sweep_qps` calls, so their
-    copy-on-write pricing caches stay warm from one capacity-search
-    round to the next — with an ephemeral pool per call, every round
-    would start cold and redo the block pricing the shared cache
-    exists to eliminate.  The sweep scenario is baked in at fork time;
-    only the offered loads may vary between calls.
-
-    Pool lifecycle and the fail-soft contract (``None`` on platforms
-    without ``fork``) live in :func:`fork_worker_pool`.
-    """
-    global _SWEEP_STATE
-    scenario = _resolve_scenario(scenario)
-    # Force the lazily built artifacts *before* forking: workers share
-    # compiled models, scheduling profiles, and the fitted proxy by
-    # copy-on-write only if they exist at fork time — otherwise every
-    # worker would redo the whole compile pass (and proxy fit)
-    # privately.  Only the proxy-driven policies pay the proxy fit.
+def warm_models(stack: ServingStack) -> None:
+    """Compile and profile every model of ``stack`` (pre-fork warm-up)."""
     stack.ensure_compiled()
     for name in stack.model_names:
         _ = stack.profiles[name]
-    if policy in ("veltair_ac", "veltair_full"):
-        _ = stack.proxy
-    _SWEEP_STATE = (stack, policy, spec, count, seed, uniform, scenario)
-    try:
-        with fork_worker_pool(workers) as pool:
-            if pool is not None:
-                # Remember the fork-time scenario so sweep_qps can
-                # reject calls whose arguments disagree with what the
-                # workers will simulate.
-                pool._repro_sweep_state = _SWEEP_STATE
-            yield pool
-    finally:
-        _SWEEP_STATE = None
+
+
+@dataclass(frozen=True)
+class NodeSweep:
+    """One node serving ``count`` queries of ``spec`` under ``policy``.
+
+    The sweep point of the single-node drivers: calling it with an
+    offered load simulates that load and returns its report.
+    """
+
+    stack: ServingStack
+    policy: str
+    spec: WorkloadSpec
+    count: int
+    seed: int | None = None
+    scenario: object = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scenario",
+                           open_loop_scenario(self.scenario))
+
+    def warm(self) -> None:
+        """Build what workers share by copy-on-write, before the fork.
+
+        Only the proxy-driven policies pay the proxy fit.
+        """
+        warm_models(self.stack)
+        if self.policy in ("veltair_ac", "veltair_full"):
+            _ = self.stack.proxy
+
+    def __call__(self, qps: float) -> ServingReport:
+        return self.stack.report(self.policy, self.spec, float(qps),
+                                 self.count, seed=self.seed,
+                                 scenario=self.scenario)
 
 
 def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
               qps_values: list[float], count: int,
               seed: int | None = None, workers: int | None = None,
-              uniform: bool = False, pool=None,
-              scenario=None) -> list[ServingReport]:
+              pool=None, scenario=None) -> list[ServingReport]:
     """One report per offered load, optionally across worker processes.
 
     Every point is an independent simulation of ``count`` queries, so
@@ -147,74 +104,47 @@ def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
     ``workers`` of 1 or ``None``, or a platform without ``fork``, runs
     the points sequentially in-process — same results either way, the
     simulations are deterministic per (seed, qps).  Pass a
-    :func:`sweep_pool` as ``pool`` to reuse warm workers across calls
-    (the pool's baked-in scenario must match these arguments).
-
-    With ``uniform=True`` the spec must be single-model and arrivals are
-    the deterministic uniform stream of the granularity study (Fig. 3).
-    A ``scenario`` (spec or registered name) replaces the arrival shape
-    wholesale; it is mutually exclusive with ``uniform``.
+    :func:`repro.parallel.sweep_pool` built for the equal
+    :class:`NodeSweep` as ``pool`` to reuse warm workers across calls.
     """
-    qps_list = [float(qps) for qps in qps_values]
-    if not qps_list:
-        return []
-    scenario = _resolve_scenario(scenario)
-    if scenario is not None and uniform:
-        raise ValueError("pass either scenario or uniform, not both")
-    if uniform and len(spec.models) != 1:
-        raise ValueError("uniform sweeps require a single-model spec")
-    if pool is not None:
-        # Workers simulate the scenario baked in at fork time — reject
-        # a mismatched call instead of returning plausible wrong data.
-        baked = getattr(pool, "_repro_sweep_state", None)
-        if baked != (stack, policy, spec, count, seed, uniform, scenario):
-            raise ValueError(
-                "pool was created for a different sweep scenario; build "
-                "it with sweep_pool(...) using these same arguments")
-        try:
-            return pool.map(_sweep_worker, qps_list)
-        except OSError:
-            # A worker/pipe died mid-run (e.g. OOM-killed): recompute
-            # this batch serially rather than aborting a whole capacity
-            # search; later rounds fall back the same way if the pool
-            # stays broken.
-            pass
-        return [_run_point(stack, policy, spec, qps, count, seed,
-                           uniform, scenario) for qps in qps_list]
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(qps_list))
-    if requested > 1:
-        with sweep_pool(stack, policy, spec, count, seed=seed,
-                        uniform=uniform, workers=requested,
-                        scenario=scenario) as ephemeral:
-            if ephemeral is not None:
-                try:
-                    return ephemeral.map(_sweep_worker, qps_list)
-                except OSError:
-                    pass  # worker/pipe died mid-run: recompute serially
-    return [_run_point(stack, policy, spec, qps, count, seed, uniform,
-                       scenario)
-            for qps in qps_list]
+    point = NodeSweep(stack, policy, spec, count, seed=seed,
+                      scenario=scenario)
+    return sweep(point, qps_values, workers=workers, pool=pool)
 
 
 def reports_over_qps(stack: ServingStack, policy: str, model_name: str,
                      qps_values: list[float], count: int,
-                     uniform: bool = True,
                      seed: int | None = None,
                      workers: int | None = None,
-                     scenario=None) -> list[ServingReport]:
+                     scenario="uniform") -> list[ServingReport]:
     """One report per offered load — the Fig. 3 / Fig. 5a protocol.
 
     The paper's granularity study streams a single model with identical
-    uniform arrivals; ``uniform=False`` switches to Poisson arrivals,
-    and a ``scenario`` swaps in any arrival shape (overriding
-    ``uniform``).
+    uniform arrivals (the default ``"uniform"`` scenario); any other
+    ``scenario`` swaps in that arrival shape.
     """
     spec = WorkloadSpec(name=model_name, entries=((model_name, 1.0),))
-    return sweep_qps(stack, policy, spec, list(qps_values), count,
-                     seed=seed, workers=workers,
-                     uniform=uniform and scenario is None,
-                     scenario=scenario)
+    return sweep_qps(stack, policy, spec, qps_values, count, seed=seed,
+                     workers=workers, scenario=scenario)
+
+
+def search_capacity(point, workers: int | None = None,
+                    **bisection) -> tuple[float, object]:
+    """:func:`max_qps_at_satisfaction` over a sweep point's loads.
+
+    With ``workers > 1`` each search round batches ``workers`` loads
+    across one persistent :func:`repro.parallel.sweep_pool`
+    (speculative multi-point bisection over warm workers); with the
+    default it is the paper's sequential protocol, probe for probe.
+    ``bisection`` carries the search bounds (``target``, ``low_qps``,
+    ``high_qps``, ``tolerance_qps``).
+    """
+    batch = 1 if workers is None else max(1, int(workers))
+    with (sweep_pool(point, batch) if batch > 1
+          else contextlib.nullcontext()) as pool:
+        return max_qps_at_satisfaction(
+            run_batch=lambda loads: sweep(point, loads, pool=pool),
+            batch=batch, **bisection)
 
 
 @dataclass(frozen=True)
@@ -236,35 +166,16 @@ def capacity(stack: ServingStack, policy: str, spec: WorkloadSpec,
              scenario=None) -> CapacityResult:
     """Max offered QPS with ``target`` QoS satisfaction (Fig. 12 metric).
 
-    The bisection evaluates its probe loads through :func:`sweep_qps`;
-    with ``workers > 1`` each search round batches ``workers`` loads
-    across one persistent :func:`sweep_pool` (speculative multi-point
-    bisection over warm workers), with the default it is the paper's
-    sequential protocol, probe for probe.  A ``scenario`` makes this
-    "capacity under that arrival shape": the bisection scales the
-    scenario's mean rate instead of a stationary Poisson rate.
+    The bisection runs through :func:`search_capacity`.  A ``scenario``
+    makes this "capacity under that arrival shape": the bisection
+    scales the scenario's mean rate instead of a stationary Poisson
+    rate.
     """
-    batch = 1 if workers is None else max(1, int(workers))
-    scenario = _resolve_scenario(scenario)
-
-    def search(pool) -> tuple[float, ServingReport]:
-        def run_batch(qps_values: list[float]) -> list[ServingReport]:
-            return sweep_qps(stack, policy, spec, qps_values, count,
-                             seed=seed, pool=pool, scenario=scenario)
-
-        return max_qps_at_satisfaction(
-            run_batch=run_batch, batch=batch, target=target,
-            low_qps=low_qps, high_qps=high_qps,
-            tolerance_qps=tolerance_qps)
-
-    if batch > 1:
-        # sweep_pool fails soft to ``None`` (the serial path) on
-        # spawn-only platforms, so no availability check is needed here.
-        with sweep_pool(stack, policy, spec, count, seed=seed,
-                        workers=batch, scenario=scenario) as pool:
-            qps, report = search(pool)
-    else:
-        qps, report = search(None)
+    qps, report = search_capacity(
+        NodeSweep(stack, policy, spec, count, seed=seed,
+                  scenario=scenario),
+        workers=workers, target=target, low_qps=low_qps,
+        high_qps=high_qps, tolerance_qps=tolerance_qps)
     return CapacityResult(policy=policy, workload=spec.name, qps=qps,
                           report=report)
 

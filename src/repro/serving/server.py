@@ -54,11 +54,7 @@ from repro.scheduling.layerwise import (
 from repro.scheduling.prema import PremaScheduler
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.metrics import ServingReport, summarize
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 POLICIES = ("model_fcfs", "layerwise", "prema", "block6", "block11",
             "veltair_as", "veltair_ac", "veltair_full", "gacer")
@@ -178,10 +174,10 @@ class ServingStack:
         #: warm cache eliminates most cost-model pricing calls.  Size is
         #: bounded by ``price_cache_entries`` (batched FIFO eviction).
         self.price_cache = PricingCache(max_entries=price_cache_entries)
-        #: Bound for the per-scheduler planning memos (required-core and
-        #: block-requirement lookups); one knob for every scheduler
-        #: this stack builds, so long serve loops and cluster sweeps
-        #: hold their steady-state footprint.
+        #: Bound for the per-scheduler planning memos (required-core
+        #: lookups and whole dynamic-block plans); one knob for every
+        #: scheduler this stack builds, so long serve loops and cluster
+        #: sweeps hold their steady-state footprint.
         self.plan_cache_entries = plan_cache_entries
         if compile_workers is None:
             compile_workers = int(os.environ.get("REPRO_COMPILE_WORKERS",
@@ -465,14 +461,9 @@ class ServingStack:
         the saved trace's ``summarize`` reproduces this report's
         ``average_latency_s`` exactly.
         """
-        effective_seed = self.seed if seed is None else seed
-        if scenario is not None:
-            queries = scenario_queries(self.compiled, scenario, qps,
-                                       count, seed=effective_seed,
-                                       spec=spec)
-        else:
-            queries = poisson_queries(self.compiled, spec, qps, count,
-                                      seed=effective_seed)
+        queries = scenario_queries(
+            self.compiled, scenario, qps, count,
+            seed=self.seed if seed is None else seed, spec=spec)
         completed, engine = self.run(policy, queries, tracer=tracer)
         return summarize(completed, engine.metrics, qps)
 

@@ -4,11 +4,11 @@ Arrivals are Poisson with rate ``qps`` (paper Sec. 5.1); the mixed
 workload draws each model with frequency inversely proportional to its
 QoS target, as the paper does following datacenter trace analyses.
 
-Beyond the stationary Poisson default, :mod:`repro.workloads` provides
-trace-driven scenarios (bursty MMPP, diurnal ramps, flash crowds,
-tenant churn, trace replay); :func:`scenario_queries` is the bridge —
-the ``"poisson"`` scenario reproduces :func:`poisson_queries` bit for
-bit, so scenario-threaded experiments subsume the legacy path.
+Every stream is drawn by :func:`scenario_queries` from a scenario of
+:mod:`repro.workloads`: the stationary ``"poisson"`` default, the
+deterministic ``"uniform"`` stream of the granularity study (Fig. 3),
+or a trace-driven shape (bursty MMPP, diurnal ramps, flash crowds,
+tenant churn, trace replay).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import make_rng
 from repro.compiler.library import CompiledModel
 from repro.models.registry import (
     HEAVY,
@@ -78,68 +77,20 @@ MEDIUM_MIX = class_mix(MEDIUM)
 HEAVY_MIX = class_mix(HEAVY)
 
 
-def poisson_queries(compiled: dict[str, CompiledModel], spec: WorkloadSpec,
-                    qps: float, count: int,
-                    seed: int | None = None) -> list[Query]:
-    """``count`` queries with Poisson arrivals at rate ``qps``.
-
-    Every model in ``spec`` must be present in ``compiled``.
-    """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    if count <= 0:
-        raise ValueError("count must be positive")
-    missing = [n for n in spec.models if n not in compiled]
-    if missing:
-        raise KeyError(f"workload {spec.name!r} needs uncompiled models: "
-                       f"{missing}")
-    rng = make_rng(seed)
-    gaps = rng.exponential(scale=1.0 / qps, size=count)
-    arrivals = np.cumsum(gaps)
-    choices = rng.choice(len(spec.models), size=count,
-                         p=spec.probabilities())
-    queries = []
-    for index in range(count):
-        name = spec.models[int(choices[index])]
-        queries.append(Query(
-            query_id=index,
-            model=compiled[name],
-            arrival_s=float(arrivals[index]),
-            qos_s=get_entry(name).qos_s,
-        ))
-    return queries
-
-
 def scenario_queries(compiled: dict[str, CompiledModel],
                      scenario, qps: float, count: int,
                      seed: int | None = None,
                      spec: WorkloadSpec | None = None) -> list[Query]:
     """``count`` queries of a :class:`~repro.workloads.ScenarioSpec`.
 
-    ``scenario`` may be a spec or a registered scenario name; a
-    mix-agnostic scenario draws its models from ``spec``.  Equivalent to
-    ``scenario.queries(...)`` — provided here so the serving layer's
-    stream generators live side by side.  (Import is lazy:
-    ``repro.workloads`` sits above this module in the layering.)
+    The one query generator of the serving layer.  ``scenario`` may be
+    a spec, a registered scenario name, or ``None`` for the paper's
+    ``"poisson"`` default; a mix-agnostic scenario draws its models
+    from ``spec``.  Equivalent to ``scenario.queries(...)``.  (Import
+    is lazy: ``repro.workloads`` sits above this module in the
+    layering.)
     """
     from repro.workloads.scenario import resolve_scenario
     return resolve_scenario(scenario).queries(compiled, qps, count,
                                               seed=seed, spec=spec)
 
-
-def uniform_queries(compiled: dict[str, CompiledModel], model_name: str,
-                    qps: float, count: int) -> list[Query]:
-    """Deterministic uniform arrivals of one model.
-
-    The paper's granularity study (Fig. 3) uses identical uniform
-    arrival times "to eliminate the instability caused by randomness".
-    """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    if count <= 0:
-        raise ValueError("count must be positive")
-    entry = get_entry(model_name)
-    period = 1.0 / qps
-    return [Query(query_id=i, model=compiled[model_name],
-                  arrival_s=(i + 1) * period, qos_s=entry.qos_s)
-            for i in range(count)]

@@ -14,9 +14,9 @@ churn.  This package opens those scenarios to every experiment driver:
   arrival process x workload mix x QoS class scaling, plus the named
   scenario registry (``get_scenario("bursty")`` ...).
 
-The ``"poisson"`` scenario is the library default and reproduces the
-legacy :func:`repro.serving.workload.poisson_queries` stream draw for
-draw, so pre-scenario results stay bit-identical.
+The ``"poisson"`` scenario is the library default: every driver's
+``scenario=None`` draws it through
+:func:`repro.serving.workload.scenario_queries`.
 """
 
 from repro.workloads.arrivals import (

@@ -4,8 +4,7 @@ Each process is a frozen *shape*: its parameters describe burstiness,
 periodicity, or churn, and :meth:`ArrivalProcess.sample_times` scales
 that shape to any offered load.  Every generator draws exclusively from
 the ``numpy`` generator it is handed, so a fixed seed reproduces the
-stream bit for bit — the same contract the legacy Poisson path has
-always had.
+stream bit for bit.
 
 Two invariants make the shapes composable with capacity searches:
 
@@ -61,9 +60,7 @@ class ArrivalProcess(abc.ABC):
 class PoissonArrivals(ArrivalProcess):
     """The paper's stationary Poisson stream (MLPerf server scenario).
 
-    Draw-for-draw identical to the legacy
-    :func:`repro.serving.workload.poisson_queries` arrival generation:
-    one vectorised exponential gap draw, then a cumulative sum.
+    One vectorised exponential gap draw, then a cumulative sum.
     """
 
     def sample_times(self, qps: float, count: int,
@@ -77,8 +74,7 @@ class PoissonArrivals(ArrivalProcess):
 class UniformArrivals(ArrivalProcess):
     """Deterministic uniform arrivals (the Fig. 3 granularity protocol).
 
-    Consumes no randomness: arrival ``i`` lands at ``(i + 1) / qps``,
-    matching :func:`repro.serving.workload.uniform_queries`.
+    Consumes no randomness: arrival ``i`` lands at ``(i + 1) / qps``.
     """
 
     def sample_times(self, qps: float, count: int,

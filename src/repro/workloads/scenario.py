@@ -7,11 +7,8 @@ bundled into the scenario or supplied by the experiment), and the QoS
 class scaling tightens or relaxes deadlines per paper workload class
 (light / medium / heavy).
 
-Query generation follows the legacy draw order exactly — one arrival
-draw, then one mixture draw from the *same* generator — so the
-``"poisson"`` scenario reproduces
-:func:`repro.serving.workload.poisson_queries` bit for bit and all
-pre-scenario results stay valid.
+Query generation draws from one seeded generator: the arrival times
+first, then the model mixture.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ class ScenarioSpec:
     """One named load scenario.
 
     ``workload=None`` means the scenario is mix-agnostic: experiments
-    supply the mix (exactly like the legacy ``spec`` argument) and the
-    scenario contributes arrival shape and QoS scaling.  A bundled
+    supply the mix (their ``spec`` argument) and the scenario
+    contributes arrival shape and QoS scaling.  A bundled
     workload wins over the experiment's when both are present.
 
     ``qos_scale`` maps paper workload classes to deadline multipliers,
@@ -97,8 +94,7 @@ class ScenarioSpec:
         """``count`` queries of this scenario at mean offered ``qps``.
 
         Deterministic per ``(scenario, qps, count, seed)``; the rng is
-        consumed arrival-shape first, mixture second, mirroring the
-        legacy Poisson generator.
+        consumed arrival-shape first, mixture second.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -202,13 +198,15 @@ def get_scenario(name: str) -> ScenarioSpec:
                        f"{sorted(_REGISTRY)}") from None
 
 
-def resolve_scenario(scenario) -> ScenarioSpec | None:
-    """Registered name -> spec; specs and ``None`` pass through.
+def resolve_scenario(scenario) -> ScenarioSpec:
+    """Registered name -> spec; ``None`` -> :func:`default_scenario`.
 
     The one resolution path every ``scenario=`` parameter funnels
-    through (serving experiments, cluster experiments, the facades).
+    through (the query generator and the experiment drivers).
     """
-    if scenario is None or isinstance(scenario, ScenarioSpec):
+    if scenario is None:
+        return default_scenario()
+    if isinstance(scenario, ScenarioSpec):
         return scenario
     return get_scenario(scenario)
 

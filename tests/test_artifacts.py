@@ -21,7 +21,7 @@ from repro.compiler.multiversion import SinglePassCompiler
 from repro.hardware.platform import EDGE_NODE_32, THREADRIPPER_3990X
 from repro.models.registry import get_entry, get_model
 from repro.serving.server import ServingStack
-from repro.serving.workload import poisson_queries, single_model
+from repro.serving.workload import scenario_queries, single_model
 
 
 @pytest.fixture()
@@ -329,9 +329,9 @@ class TestServingStackStore:
             stack = ServingStack(models=["mobilenet_v2"], trials=64,
                                  seed=7, use_proxy=False,
                                  artifact_store=ArtifactStore(path))
-            queries = poisson_queries(stack.compiled,
-                                      single_model("mobilenet_v2"),
-                                      qps=80, count=40, seed=7)
+            queries = scenario_queries(stack.compiled, "poisson", 80, 40,
+                                       seed=7,
+                                       spec=single_model("mobilenet_v2"))
             completed, engine = stack.run("veltair_full", queries)
             return stack, [(q.query_id, q.started_s, q.finished_s)
                            for q in completed]
@@ -388,14 +388,15 @@ class TestServingStackStore:
                          use_proxy=False, artifact_store=None)
 
     def test_sweep_pool_forces_artifacts_before_fork(self):
-        from repro.serving.experiments import sweep_pool, sweep_qps
+        from repro.parallel import sweep_pool
+        from repro.serving.experiments import NodeSweep, sweep_qps
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              use_proxy=False, artifact_store=None)
         spec = single_model("mobilenet_v2")
+        point = NodeSweep(stack, "veltair_full", spec, 20, seed=7)
         assert stack.compiler.stats.layers_total == 0
-        with sweep_pool(stack, "veltair_full", spec, count=20,
-                        seed=7, workers=2) as pool:
+        with sweep_pool(point, workers=2) as pool:
             # Compile + profiles happened in the parent, pre-fork, so
             # workers inherit them copy-on-write.
             assert stack.compiler.stats.layers_total > 0
@@ -408,17 +409,18 @@ class TestServingStackStore:
             r.average_latency_s for r in serial]
 
     def test_sweep_pool_skips_proxy_fit_for_non_proxy_policies(self):
-        from repro.serving.experiments import sweep_pool
+        from repro.parallel import sweep_pool
+        from repro.serving.experiments import NodeSweep
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              proxy_scenarios=60, artifact_store=None)
         spec = single_model("mobilenet_v2")
-        with sweep_pool(stack, "layerwise", spec, count=10, seed=7,
+        with sweep_pool(NodeSweep(stack, "layerwise", spec, 10, seed=7),
                         workers=2):
             # layerwise never reads the proxy: the pre-fork warm-up
             # must not pay the fit for it.
             assert not stack._proxy_ready
-        with sweep_pool(stack, "veltair_full", spec, count=10, seed=7,
+        with sweep_pool(NodeSweep(stack, "veltair_full", spec, 10, seed=7),
                         workers=2):
             assert stack._proxy_ready  # proxy-driven: fitted pre-fork
 

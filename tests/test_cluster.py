@@ -1,5 +1,6 @@
 """Cluster subsystem tests: specs, routers, admission, fleet driver,
-and the engine's incremental-driving hooks the fleet rides on."""
+the engine's incremental-driving hooks the fleet rides on, and the
+fork-pool sweep primitive behind the node and fleet experiments."""
 
 import pytest
 
@@ -16,14 +17,17 @@ from repro.cluster import (
     mixed_fleet,
     sweep_cluster_qps,
 )
+from repro.cluster.experiments import FleetSweep
 from repro.hardware.platform import (
     EDGE_NODE_32,
     PRODUCTION_SERVER_256,
     THREADRIPPER_3990X,
 )
+from repro.parallel import sweep, sweep_pool
 from repro.runtime.engine import Engine
 from repro.scheduling.veltair import VeltairScheduler
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.experiments import NodeSweep, capacity
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -35,20 +39,21 @@ class TestClusterSpec:
             ClusterSpec(name="x", nodes=())
 
     def test_rejects_duplicate_node_names(self):
-        node = NodeSpec(name="a", cpu=THREADRIPPER_3990X)
+        node = NodeSpec(name="a", device=THREADRIPPER_3990X)
         with pytest.raises(ValueError):
             ClusterSpec(name="x", nodes=(node, node))
 
     def test_rejects_empty_node_name(self):
         with pytest.raises(ValueError):
-            NodeSpec(name="", cpu=THREADRIPPER_3990X)
+            NodeSpec(name="", device=THREADRIPPER_3990X)
 
     def test_homogeneous(self):
         spec = homogeneous(3)
         assert len(spec) == 3
         assert spec.total_cores == 3 * 64
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            assert spec.cpu_specs == (THREADRIPPER_3990X,)
+        assert spec.device_specs == (THREADRIPPER_3990X,)
+        with pytest.raises(AttributeError):
+            _ = spec.cpu_specs  # deprecated alias, removed
         with pytest.raises(ValueError):
             homogeneous(0)
 
@@ -56,10 +61,9 @@ class TestClusterSpec:
         spec = mixed_fleet()
         assert len(spec) == 4
         assert spec.total_cores == 64 + 64 + 256 + 32
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            assert set(spec.cpu_specs) == {THREADRIPPER_3990X,
-                                           PRODUCTION_SERVER_256,
-                                           EDGE_NODE_32}
+        assert set(spec.device_specs) == {THREADRIPPER_3990X,
+                                          PRODUCTION_SERVER_256,
+                                          EDGE_NODE_32}
 
 
 class _StubEngine:
@@ -137,10 +141,10 @@ class TestIncrementalDrive:
     """begin/submit/run_until/drain must replay run() exactly."""
 
     def test_feeding_matches_run(self, light_stack):
-        queries_a = poisson_queries(light_stack.compiled, MIX, 250, 60,
-                                    seed=4)
-        queries_b = poisson_queries(light_stack.compiled, MIX, 250, 60,
-                                    seed=4)
+        queries_a = scenario_queries(light_stack.compiled, "poisson", 250, 60,
+                                     seed=4, spec=MIX)
+        queries_b = scenario_queries(light_stack.compiled, "poisson", 250, 60,
+                                     seed=4, spec=MIX)
         engine_a = Engine(light_stack.cost_model,
                           price_cache=light_stack.price_cache)
         done_a = engine_a.run(queries_a,
@@ -161,8 +165,8 @@ class TestIncrementalDrive:
         assert finished_a == pytest.approx(finished_b)
 
     def test_submit_never_rewinds_the_clock(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, MIX, 100, 4,
-                                  seed=1)
+        queries = scenario_queries(light_stack.compiled, "poisson", 100, 4,
+                                   seed=1, spec=MIX)
         engine = Engine(light_stack.cost_model,
                         price_cache=light_stack.price_cache)
         engine.begin([], light_stack.make_scheduler("veltair_full"))
@@ -226,8 +230,8 @@ class TestClusterServe:
 
     def test_pressure_aware_respects_width(self, light_stack):
         spec = ClusterSpec(name="het", nodes=(
-            NodeSpec(name="small", cpu=EDGE_NODE_32),
-            NodeSpec(name="big", cpu=THREADRIPPER_3990X)))
+            NodeSpec(name="small", device=EDGE_NODE_32),
+            NodeSpec(name="big", device=THREADRIPPER_3990X)))
         cluster = Cluster(light_stack, spec, router="pressure_aware")
         report = cluster.report(MIX, qps=350, count=120, seed=3)
         by_name = {n.name: n for n in report.nodes}
@@ -237,8 +241,8 @@ class TestClusterServe:
 
     def test_shared_artifacts_single_compile(self, light_stack):
         spec = ClusterSpec(name="het", nodes=(
-            NodeSpec(name="small", cpu=EDGE_NODE_32),
-            NodeSpec(name="big", cpu=THREADRIPPER_3990X)))
+            NodeSpec(name="small", device=EDGE_NODE_32),
+            NodeSpec(name="big", device=THREADRIPPER_3990X)))
         Cluster(light_stack, spec).report(MIX, qps=200, count=40, seed=3)
         assert light_stack.artifact_builds == 1
         # Per-CPU runtimes are memoised and the reference CPU reuses the
@@ -426,3 +430,64 @@ class TestClusterExperiments:
         assert result.qps >= 20.0
         assert result.report.satisfaction_rate >= 0.8
         assert result.router == "pressure_aware"
+
+
+#: The 2:1 light mix of the single-node/one-node-fleet differential.
+MIX_2_1 = WorkloadSpec(name="mix2_1", entries=(("mobilenet_v2", 2.0),
+                                               ("googlenet", 1.0)))
+
+
+class TestOneNodeFleet:
+    """A one-node fleet reproduces a single node exactly."""
+
+    @pytest.mark.parametrize("policy", ["veltair_full", "layerwise"])
+    def test_report_equals_single_node(self, light_stack, policy):
+        fleet = Cluster(light_stack, homogeneous(1, policy=policy),
+                        router="round_robin")
+        for qps in (100.0, 300.0):
+            node = light_stack.report(policy, MIX_2_1, qps, 60, seed=5)
+            pooled = fleet.report(MIX_2_1, qps, 60, seed=5)
+            assert pooled.satisfaction_rate == node.satisfaction_rate
+            assert pooled.average_latency_s == node.average_latency_s
+
+    def test_capacity_equals_single_node(self, light_stack):
+        search = dict(count=60, target=0.95, low_qps=20.0,
+                      high_qps=400.0, tolerance_qps=40.0, seed=5)
+        node = capacity(light_stack, "veltair_full", MIX_2_1, **search)
+        fleet = cluster_capacity(light_stack, homogeneous(1), MIX_2_1,
+                                 router="round_robin", **search)
+        assert node.report.satisfaction_rate >= 0.95  # a real pass
+        assert fleet.qps == node.qps
+
+
+def _sweep_point(stack, kind: str, seed: int, scenario=None):
+    if kind == "node":
+        return NodeSweep(stack, "veltair_full", MIX, 30, seed=seed,
+                         scenario=scenario)
+    return FleetSweep(stack, homogeneous(2), MIX, 30, seed=seed,
+                      scenario=scenario)
+
+
+class TestSweepPrimitive:
+    @pytest.mark.parametrize("kind", ["node", "fleet"])
+    def test_pool_rejects_a_different_point(self, light_stack, kind):
+        point = _sweep_point(light_stack, kind, seed=3)
+        with sweep_pool(point, 2) as pool:
+            if pool is None:
+                pytest.skip("platform has no fork start method")
+            with pytest.raises(ValueError, match="different sweep point"):
+                sweep(_sweep_point(light_stack, kind, seed=4), [100.0],
+                      pool=pool)
+
+    @pytest.mark.parametrize("kind", ["node", "fleet"])
+    def test_pool_results_equal_serial(self, light_stack, kind):
+        point = _sweep_point(light_stack, kind, seed=3)
+        loads = [100.0, 200.0, 300.0]
+        serial = sweep(point, loads)
+        # An equal point (built anew, scenario by name) reuses the pool.
+        equal = _sweep_point(light_stack, kind, seed=3, scenario="poisson")
+        with sweep_pool(point, 2) as pool:
+            pooled = sweep(equal, loads, pool=pool)
+            again = sweep(point, loads[::-1], pool=pool)
+        assert pooled == serial
+        assert again == serial[::-1]

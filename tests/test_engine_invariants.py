@@ -26,7 +26,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 DUO_SPEC = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
                                              ("googlenet", 1.0)))
@@ -49,8 +49,8 @@ class TestIncrementalEquivalence:
     def test_reports_identical_before_after(self, light_stack, policy):
         reports = {}
         for incremental in (False, True):
-            queries = poisson_queries(light_stack.compiled, DUO_SPEC,
-                                      400, 120, seed=7)
+            queries = scenario_queries(light_stack.compiled, "poisson", 400,
+                                       120, seed=7, spec=DUO_SPEC)
             completed, engine = light_stack.run(policy, queries,
                                                 incremental=incremental)
             reports[incremental] = summarize(completed, engine.metrics,
@@ -60,8 +60,8 @@ class TestIncrementalEquivalence:
     def test_incremental_strictly_cheaper(self, light_stack):
         counts = {}
         for incremental in (False, True):
-            queries = poisson_queries(light_stack.compiled, DUO_SPEC,
-                                      400, 120, seed=7)
+            queries = scenario_queries(light_stack.compiled, "poisson", 400,
+                                       120, seed=7, spec=DUO_SPEC)
             _, engine = light_stack.run("veltair_full", queries,
                                         incremental=incremental)
             counts[incremental] = (engine.metrics.finish_events_pushed,
@@ -86,8 +86,8 @@ class _ProgressRecorder:
 class TestProgressMonotonicity:
     def test_monotone_without_grows(self, light_stack):
         """With a no-grow policy progress never decreases at all."""
-        queries = poisson_queries(light_stack.compiled, DUO_SPEC, 300, 60,
-                                  seed=3)
+        queries = scenario_queries(light_stack.compiled, "poisson", 300, 60,
+                                   seed=3, spec=DUO_SPEC)
         engine = Engine(light_stack.cost_model)
         recorder = _ProgressRecorder(light_stack.make_scheduler(
             "model_fcfs"))
@@ -99,8 +99,8 @@ class TestProgressMonotonicity:
 
     def test_never_negative_with_grows(self, light_stack):
         """Grows charge overhead against progress but never below zero."""
-        queries = poisson_queries(light_stack.compiled, DUO_SPEC, 400, 80,
-                                  seed=3)
+        queries = scenario_queries(light_stack.compiled, "poisson", 400, 80,
+                                   seed=3, spec=DUO_SPEC)
         engine = Engine(light_stack.cost_model)
         recorder = _ProgressRecorder(light_stack.make_scheduler(
             "layerwise"))
@@ -115,8 +115,8 @@ class TestHeapBounds:
     def test_heap_stays_bounded_by_live_blocks(self, light_stack):
         """Heap peak tracks live work, not the number of pushed events."""
         count = 400
-        queries = poisson_queries(light_stack.compiled, DUO_SPEC, 500,
-                                  count, seed=7)
+        queries = scenario_queries(light_stack.compiled, "poisson", 500, count,
+                                   seed=7, spec=DUO_SPEC)
         completed, engine = light_stack.run("veltair_full", queries)
         assert len(completed) == count
         metrics = engine.metrics
@@ -133,8 +133,8 @@ class TestSharedPricingCache:
     def test_cross_run_reuse_and_identity(self, light_stack):
         """Identical reruns price nothing new and change nothing."""
         def run_once():
-            queries = poisson_queries(light_stack.compiled, DUO_SPEC,
-                                      300, 60, seed=5)
+            queries = scenario_queries(light_stack.compiled, "poisson", 300,
+                                       60, seed=5, spec=DUO_SPEC)
             completed, engine = light_stack.run("veltair_full", queries)
             return (summarize(completed, engine.metrics, 300),
                     engine.metrics.prices_computed)
@@ -176,8 +176,8 @@ class TestSweepQps:
         swept = sweep_qps(light_stack, "veltair_full", DUO_SPEC, loads,
                           count=40, seed=9)
         for qps, report in zip(loads, swept):
-            queries = poisson_queries(light_stack.compiled, DUO_SPEC, qps,
-                                      40, seed=9)
+            queries = scenario_queries(light_stack.compiled, "poisson", qps,
+                                       40, seed=9, spec=DUO_SPEC)
             completed, engine = light_stack.run("veltair_full", queries)
             _assert_reports_equal(report,
                                   summarize(completed, engine.metrics,
@@ -193,11 +193,6 @@ class TestSweepQps:
                              count=40, seed=9, workers=2)
         for a, b in zip(serial, parallel):
             _assert_reports_equal(a, b, tolerance=0.0)
-
-    def test_uniform_requires_single_model(self, light_stack):
-        with pytest.raises(ValueError):
-            sweep_qps(light_stack, "veltair_full", DUO_SPEC, [100.0],
-                      count=10, uniform=True)
 
     def test_empty_sweep(self, light_stack):
         assert sweep_qps(light_stack, "veltair_full", DUO_SPEC, [],

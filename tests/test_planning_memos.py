@@ -24,7 +24,7 @@ from repro.models.layers import (
 from repro.models.registry import get_model, model_names
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.serving.server import ServingStack
-from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 _MIX = WorkloadSpec(name="memo-mix", entries=(("mobilenet_v2", 2.0),
                                               ("googlenet", 1.0)))
@@ -101,7 +101,8 @@ def replanning_stack():
 def _serve(stack: ServingStack, policy: str, spec: WorkloadSpec,
            qps: float, count: int, seed: int,
            batching: BatchPolicy | None = None, qos_scale: float = 1.0):
-    queries = poisson_queries(stack.compiled, spec, qps, count, seed=seed)
+    queries = scenario_queries(stack.compiled, "poisson", qps, count,
+                               seed=seed, spec=spec)
     for query in queries:
         query.qos_s *= qos_scale
     scheduler = stack.make_scheduler(policy)

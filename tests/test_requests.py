@@ -7,8 +7,8 @@ seam and :meth:`Engine.drain` ordering contract, pipeline hand-off on a
 single node and shed-stage-fails-pipeline on a guarded cluster,
 closed-loop determinism (double-run and fork-pool), trace record/replay
 round-trips over realized feedback streams, the scenario registry's
-request-model entries, and the deprecated ``cpu_specs``/``cpu_name``
-aliases.
+request-model entries, and the removal of the deprecated
+``ClusterSpec``/``NodeReport`` CPU-named aliases.
 """
 
 import math
@@ -22,7 +22,7 @@ from repro.runtime.engine import BatchPolicy
 from repro.runtime.tasks import Query
 from repro.scheduling.base import batch_profile
 from repro.serving import WorkloadSpec
-from repro.serving.workload import poisson_queries
+from repro.serving.workload import scenario_queries
 from repro.workloads import (
     SCENARIO_NAMES,
     ArrivalTrace,
@@ -89,20 +89,20 @@ class TestBatchPolicy:
             BatchPolicy(max_wait_s=-0.001)
 
     def test_batching_off_is_bit_identical(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MIX, qps=60.0,
-                                  count=40, seed=13)
+        queries = scenario_queries(light_stack.compiled, "poisson", 60.0, 40,
+                                   seed=13, spec=_MIX)
         legacy, _ = light_stack.run("veltair_full", queries)
         stream = RequestStream(
-            queries=poisson_queries(light_stack.compiled, _MIX, qps=60.0,
-                                    count=40, seed=13))
+            queries=scenario_queries(light_stack.compiled, "poisson", 60.0, 40,
+                                     seed=13, spec=_MIX))
         outcome = light_stack.run_stream("veltair_full", stream)
         key = lambda qs: [(q.query_id, q.finished_s, q.core_seconds,
                            q.blocks) for q in qs]
         assert key(outcome.completed) == key(legacy)
 
     def test_fusion_and_member_attribution(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MONO, qps=2000.0,
-                                  count=32, seed=5)
+        queries = scenario_queries(light_stack.compiled, "poisson", 2000.0, 32,
+                                   seed=5, spec=_MONO)
         for query in queries:
             query.qos_s *= 8.0
         completed, engine = light_stack.run(
@@ -131,8 +131,8 @@ class TestBatchPolicy:
 
 class TestOnCompleteAndDrain:
     def test_hook_fires_per_completion_in_order(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MIX, qps=80.0,
-                                  count=24, seed=9)
+        queries = scenario_queries(light_stack.compiled, "poisson", 80.0, 24,
+                                   seed=9, spec=_MIX)
         seen: list[tuple[int, float, int]] = []
 
         def hook(engine, query):
@@ -156,8 +156,8 @@ class TestOnCompleteAndDrain:
         assert finishes == sorted(finishes)
 
     def test_hook_can_submit_followups(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MIX, qps=80.0,
-                                  count=12, seed=9)
+        queries = scenario_queries(light_stack.compiled, "poisson", 80.0, 12,
+                                   seed=9, spec=_MIX)
         extra = {"sent": False}
 
         def hook(engine, query):
@@ -336,20 +336,18 @@ class TestScenarioRegistry:
 
 
 class TestDeprecatedAliases:
-    def test_cluster_spec_cpu_specs_warns(self):
-        fleet = homogeneous(2)
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            specs = fleet.cpu_specs
-        assert specs == fleet.device_specs
+    def test_cluster_spec_cpu_specs_removed(self):
+        with pytest.raises(AttributeError):
+            _ = homogeneous(2).cpu_specs
 
-    def test_node_report_cpu_name_warns(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MIX, qps=40.0,
-                                  count=4, seed=2)
+    def test_node_report_cpu_name_removed(self, light_stack):
+        queries = scenario_queries(light_stack.compiled, "poisson", 40.0, 4,
+                                   seed=2, spec=_MIX)
         report = Cluster(light_stack, homogeneous(1)).serve(queries)
         node = report.nodes[0]
-        with pytest.warns(DeprecationWarning, match="cpu_name"):
-            name = node.cpu_name
-        assert name == node.device_name
+        assert node.device_name == light_stack.cpu.name
+        with pytest.raises(AttributeError):
+            _ = node.cpu_name
 
 
 class TestBatchProfiles:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from repro.runtime.allocator import AllocationError, CoreAllocator
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import block_duration
-from repro.serving.workload import uniform_queries
+from repro.serving.workload import scenario_queries, single_model
+
+
+def _resnet_queries(stack, qps, count):
+    """Uniformly spaced resnet50 arrivals (the Fig. 3 stream)."""
+    return scenario_queries(stack.compiled, "uniform", qps, count,
+                            spec=single_model("resnet50"))
 
 
 class TestAllocator:
@@ -89,20 +95,20 @@ class _WholeModelScheduler:
 
 class TestBlockDuration:
     def test_rejects_bad_range(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         with pytest.raises(ValueError):
             block_duration(resnet_stack.cost_model, queries[0], 5, 5,
                            (), 8, 0.0)
 
     def test_rejects_version_mismatch(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         with pytest.raises(ValueError):
             block_duration(resnet_stack.cost_model, queries[0], 0, 3,
                            profile.static_versions[0:2], 8, 0.0)
 
     def test_block_slower_under_interference(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         versions = profile.static_versions[0:5]
         quiet = block_duration(resnet_stack.cost_model, queries[0], 0, 5,
@@ -114,40 +120,40 @@ class TestBlockDuration:
 
 class TestEngine:
     def test_single_query_completes(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 32))
         assert len(done) == 1
         assert done[0].finished_s > done[0].arrival_s
 
     def test_all_queries_complete(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 20)
+        queries = _resnet_queries(resnet_stack, 50, 20)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 16))
         assert len(done) == 20
         assert all(q.done for q in done)
 
     def test_time_monotonic_completion(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 15)
+        queries = _resnet_queries(resnet_stack, 50, 15)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 16))
         finishes = [q.finished_s for q in done]
         assert finishes == sorted(finishes)
 
     def test_colocated_slower_than_solo(self, resnet_stack):
-        solo = uniform_queries(resnet_stack.compiled, "resnet50", 1, 1)
+        solo = _resnet_queries(resnet_stack, 1, 1)
         engine = Engine(resnet_stack.cost_model)
         solo_done = engine.run(solo, _WholeModelScheduler(resnet_stack, 16))
         solo_latency = solo_done[0].latency_s
 
         # Simultaneous arrivals: three 16-core tenants co-run.
-        burst = uniform_queries(resnet_stack.compiled, "resnet50", 1000, 3)
+        burst = _resnet_queries(resnet_stack, 1000, 3)
         engine = Engine(resnet_stack.cost_model)
         busy_done = engine.run(burst, _WholeModelScheduler(resnet_stack, 16))
         assert max(q.latency_s for q in busy_done) > solo_latency
 
     def test_core_accounting(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 5)
+        queries = _resnet_queries(resnet_stack, 50, 5)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 16))
         assert engine.allocator.used == 0
@@ -162,7 +168,7 @@ class TestEngine:
         assert engine.system_counters() == (0.0, 0.0)
 
     def test_grow_block(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         engine = Engine(resnet_stack.cost_model)
 
         class GrowOnce:
@@ -188,7 +194,7 @@ class TestEngine:
         assert engine.metrics.conflicts == 1
 
     def test_query_latency_requires_completion(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         with pytest.raises(ValueError):
             _ = queries[0].latency_s
 
@@ -197,7 +203,7 @@ class TestEngine:
             def schedule(self, engine):
                 return
 
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = _resnet_queries(resnet_stack, 10, 1)
         engine = Engine(resnet_stack.cost_model)
         with pytest.raises(RuntimeError, match="deadlock"):
             engine.run(queries, NeverStarts())
@@ -232,8 +238,7 @@ class TestEngine:
                     engine.grow_block(next(iter(engine.running)), 24)
                     self.grown = True
 
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  100, 2)
+        queries = _resnet_queries(resnet_stack, 100, 2)
         engine = Engine(resnet_stack.cost_model)
         with pytest.raises(RuntimeError, match="deadlock"):
             engine.run(queries, StartsOnlyFirst(resnet_stack))
@@ -241,7 +246,7 @@ class TestEngine:
 
 def _start_one_block(stack, engine, cores=8, desired=None):
     """Start one whole-model block directly (engine-internals tests)."""
-    query = uniform_queries(stack.compiled, "resnet50", 10, 1)[0]
+    query = _resnet_queries(stack, 10, 1)[0]
     profile = stack.profiles["resnet50"]
     return engine.start_block(query, len(query.model.layers), cores,
                               profile.static_versions,
@@ -286,8 +291,8 @@ class TestHorizonAccounting:
     simulated window, not freeze the clock at the last event."""
 
     def test_tail_advanced_to_horizon(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  100, 5)  # arrivals at 10ms spacing
+        # Arrivals at 10 ms spacing.
+        queries = _resnet_queries(resnet_stack, 100, 5)
         engine = Engine(resnet_stack.cost_model)
         horizon = 0.012  # mid-flight of the first query's block
         engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
@@ -298,8 +303,7 @@ class TestHorizonAccounting:
             32 * (horizon - 0.01))
 
     def test_average_cores_not_inflated(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  100, 5)
+        queries = _resnet_queries(resnet_stack, 100, 5)
         engine = Engine(resnet_stack.cost_model)
         engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
                    horizon_s=0.012)
@@ -308,8 +312,7 @@ class TestHorizonAccounting:
         assert 0.0 < engine.metrics.average_cores_used <= 32.0
 
     def test_horizon_before_first_event(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  100, 5)
+        queries = _resnet_queries(resnet_stack, 100, 5)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
                           horizon_s=0.001)

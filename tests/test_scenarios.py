@@ -2,10 +2,10 @@
 
 Pins the contracts of :mod:`repro.workloads`: bit-determinism of every
 arrival generator under a fixed seed, empirical-rate accuracy of the
-normalised shapes, bit-identity of the ``"poisson"`` scenario with the
-legacy generator, trace record -> save -> load -> replay round trips
-(single-node and fleet), and the scenario threading through the
-experiment drivers.
+normalised shapes, bit-identity of the ``"poisson"`` and ``"uniform"``
+scenarios with inline reference draws, trace record -> save -> load ->
+replay round trips (single-node and fleet), and the scenario threading
+through the experiment drivers.
 """
 
 import dataclasses
@@ -15,14 +15,10 @@ import pytest
 
 from repro.cluster import Cluster, homogeneous
 from repro.config import make_rng
+from repro.models.registry import get_entry
 from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-    uniform_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.workloads import (
     ArrivalTrace,
     DiurnalArrivals,
@@ -179,23 +175,33 @@ class TestArrivalValidation:
 class TestScenarioSpec:
     def test_poisson_scenario_is_bit_identical_to_legacy(self,
                                                          light_stack):
-        legacy = poisson_queries(light_stack.compiled, _SPEC, 150.0, 400,
-                                 seed=17)
-        scenario = scenario_queries(light_stack.compiled, "poisson",
-                                    150.0, 400, seed=17, spec=_SPEC)
-        assert ([(q.arrival_s, q.model.name, q.qos_s) for q in legacy]
-                == [(q.arrival_s, q.model.name, q.qos_s)
-                    for q in scenario])
+        # Reference: the MLPerf server stream drawn inline from one
+        # seeded rng — exponential gaps, cumsum, then the mixture draw.
+        rng = make_rng(17)
+        arrivals = np.cumsum(rng.exponential(scale=1.0 / 150.0, size=400))
+        choices = rng.choice(len(_SPEC.models), size=400,
+                             p=_SPEC.probabilities())
+        names = [_SPEC.models[int(choice)] for choice in choices]
+        reference = [(index, float(arrival), name, get_entry(name).qos_s)
+                     for index, (arrival, name)
+                     in enumerate(zip(arrivals, names))]
+        for scenario in ("poisson", None):  # None is the default
+            queries = scenario_queries(light_stack.compiled, scenario,
+                                       150.0, 400, seed=17, spec=_SPEC)
+            assert [(q.query_id, q.arrival_s, q.model.name, q.qos_s)
+                    for q in queries] == reference
 
     def test_uniform_scenario_matches_uniform_queries(self, light_stack):
-        legacy = uniform_queries(light_stack.compiled, "mobilenet_v2",
-                                 80.0, 50)
+        # Reference: arrival i at (i + 1) periods of 1 / qps, no draws.
+        period = 1.0 / 80.0
         single = WorkloadSpec(name="solo",
                               entries=(("mobilenet_v2", 1.0),))
-        scenario = scenario_queries(light_stack.compiled, "uniform",
-                                    80.0, 50, seed=17, spec=single)
-        assert ([q.arrival_s for q in legacy]
-                == [q.arrival_s for q in scenario])
+        queries = scenario_queries(light_stack.compiled, "uniform",
+                                   80.0, 50, seed=17, spec=single)
+        assert ([q.arrival_s for q in queries]
+                == [(i + 1) * period for i in range(50)])
+        assert {q.qos_s for q in queries} == {
+            get_entry("mobilenet_v2").qos_s}
 
     def test_qos_scaling_applies_per_class(self, light_stack):
         tight = ScenarioSpec(name="tight-light",
@@ -324,7 +330,8 @@ class TestExperimentThreading:
         assert by_name.qps == by_spec.qps
 
     def test_scenario_excludes_uniform_flag(self, light_stack):
-        with pytest.raises(ValueError, match="not both"):
+        # The uniform stream is the "uniform" scenario; the flag is gone.
+        with pytest.raises(TypeError):
             sweep_qps(light_stack, "veltair_full", _SPEC, [50.0], 50,
                       uniform=True, scenario="poisson")
 

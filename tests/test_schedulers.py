@@ -3,13 +3,14 @@
 import pytest
 
 from repro.runtime.engine import Engine
-from repro.serving.workload import poisson_queries, uniform_queries
+from repro.serving.workload import scenario_queries, single_model
 from repro.serving.metrics import summarize
 from repro.scheduling.dynamic_block import ProportionalThresholdPolicy
 
 
 def _serve(stack, policy, model="resnet50", qps=50, count=40):
-    queries = uniform_queries(stack.compiled, model, qps, count)
+    queries = scenario_queries(stack.compiled, "uniform", qps, count,
+                               spec=single_model(model))
     engine = Engine(stack.cost_model)
     scheduler = stack.make_scheduler(policy)
     done = engine.run(queries, scheduler)
@@ -92,8 +93,8 @@ class TestDynamicBlocks:
     def test_threshold_shrinks_with_load(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("veltair_as")
         policy = ProportionalThresholdPolicy()
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  10, 3)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 10, 3,
+                                   spec=single_model("resnet50"))
         engine = Engine(resnet_stack.cost_model)
         idle_thres = policy.threshold_for(scheduler, engine, queries[0])
 
@@ -108,7 +109,8 @@ class TestDynamicBlocks:
 
     def test_grant_capped_by_avg_plus_threshold(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("veltair_as")
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 10, 1,
+                                   spec=single_model("resnet50"))
         engine = Engine(resnet_stack.cost_model)
         plan = scheduler.plan(engine, queries[0])
         assert plan.desired_cores <= resnet_stack.cpu.cores
@@ -147,8 +149,8 @@ class TestVeltairFull:
 class TestPrema:
     def test_one_task_at_a_time(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("prema")
-        queries = uniform_queries(resnet_stack.compiled, "resnet50",
-                                  1000, 4)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 1000, 4,
+                                   spec=single_model("resnet50"))
         engine = Engine(resnet_stack.cost_model)
 
         max_running = 0
@@ -165,8 +167,8 @@ class TestPrema:
 
     def test_tight_qos_preempts(self, light_stack):
         """Light (tight-QoS) queries get priority over waiting peers."""
-        queries = poisson_queries(light_stack.compiled, _mix_spec(), 200,
-                                  30, seed=3)
+        queries = scenario_queries(light_stack.compiled, "poisson", 200, 30,
+                                   seed=3, spec=_mix_spec())
         engine = Engine(light_stack.cost_model)
         done = engine.run(queries, light_stack.make_scheduler("prema"))
         assert len(done) == 30
@@ -186,8 +188,8 @@ def _mix_spec():
 
 class TestMultiModelServing:
     def test_mixed_stream_completes(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _mix_spec(), 100,
-                                  40, seed=5)
+        queries = scenario_queries(light_stack.compiled, "poisson", 100, 40,
+                                   seed=5, spec=_mix_spec())
         engine = Engine(light_stack.cost_model)
         done = engine.run(queries, light_stack.make_scheduler(
             "veltair_full"))
@@ -196,8 +198,8 @@ class TestMultiModelServing:
         assert served_models == {"mobilenet_v2", "googlenet"}
 
     def test_veltair_beats_layerwise_at_load(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _mix_spec(), 400,
-                                  80, seed=6)
+        queries = scenario_queries(light_stack.compiled, "poisson", 400, 80,
+                                   seed=6, spec=_mix_spec())
         results = {}
         for policy in ("layerwise", "veltair_full"):
             engine = Engine(light_stack.cost_model)

@@ -10,9 +10,8 @@ from repro.serving.workload import (
     WorkloadSpec,
     class_mix,
     full_mix,
-    poisson_queries,
+    scenario_queries,
     single_model,
-    uniform_queries,
 )
 
 
@@ -48,8 +47,10 @@ class TestWorkloadSpec:
 class TestQueryGeneration:
     def test_poisson_deterministic_and_rate(self, resnet_stack):
         spec = single_model("resnet50")
-        a = poisson_queries(resnet_stack.compiled, spec, 100, 500, seed=1)
-        b = poisson_queries(resnet_stack.compiled, spec, 100, 500, seed=1)
+        a = scenario_queries(resnet_stack.compiled, "poisson", 100, 500,
+                             seed=1, spec=spec)
+        b = scenario_queries(resnet_stack.compiled, "poisson", 100, 500,
+                             seed=1, spec=spec)
         assert [q.arrival_s for q in a] == [q.arrival_s for q in b]
         gaps = np.diff([0.0] + [q.arrival_s for q in a])
         assert gaps.mean() == pytest.approx(1 / 100, rel=0.2)
@@ -57,20 +58,23 @@ class TestQueryGeneration:
     def test_poisson_rejects_unknown_model(self, resnet_stack):
         spec = single_model("bert_large")
         with pytest.raises(KeyError):
-            poisson_queries(resnet_stack.compiled, spec, 100, 10)
+            scenario_queries(resnet_stack.compiled, "poisson", 100, 10,
+                             spec=spec)
 
     def test_poisson_rejects_bad_rate(self, resnet_stack):
         with pytest.raises(ValueError):
-            poisson_queries(resnet_stack.compiled,
-                            single_model("resnet50"), 0, 10)
+            scenario_queries(resnet_stack.compiled, "poisson", 0, 10,
+                             spec=single_model("resnet50"))
 
     def test_uniform_exact_spacing(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 10)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 50, 10,
+                                   spec=single_model("resnet50"))
         gaps = np.diff([q.arrival_s for q in queries])
         assert np.allclose(gaps, 0.02)
 
     def test_qos_from_table2(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 2)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 50, 2,
+                                   spec=single_model("resnet50"))
         assert queries[0].qos_s == pytest.approx(0.015)
 
 
@@ -92,7 +96,8 @@ class TestSummarize:
         assert report.blocks_started == 24
 
     def test_empty_run_conflict_rate_matches_normal_path(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 20, 4)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 20, 4,
+                                   spec=single_model("resnet50"))
         for query in queries:
             query.started_s = query.arrival_s
             query.finished_s = query.arrival_s + 0.010
@@ -103,7 +108,8 @@ class TestSummarize:
                 == with_completed.conflict_rate)
 
     def test_counts_satisfied(self, resnet_stack):
-        queries = uniform_queries(resnet_stack.compiled, "resnet50", 20, 4)
+        queries = scenario_queries(resnet_stack.compiled, "uniform", 20, 4,
+                                   spec=single_model("resnet50"))
         for index, query in enumerate(queries):
             query.started_s = query.arrival_s
             query.finished_s = query.arrival_s + (

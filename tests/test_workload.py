@@ -13,8 +13,8 @@ from repro.models.registry import get_entry, model_names
 from repro.serving.workload import (
     WorkloadSpec,
     full_mix,
-    poisson_queries,
-    uniform_queries,
+    scenario_queries,
+    single_model,
 )
 
 
@@ -41,10 +41,10 @@ class TestPoissonDeterminism:
     def test_identical_streams_under_fixed_seed(self, light_stack):
         spec = WorkloadSpec(name="mix", entries=(("mobilenet_v2", 1.0),
                                                  ("googlenet", 3.0)))
-        first = poisson_queries(light_stack.compiled, spec, 120, 300,
-                                seed=17)
-        second = poisson_queries(light_stack.compiled, spec, 120, 300,
-                                 seed=17)
+        first = scenario_queries(light_stack.compiled, "poisson", 120, 300,
+                                 seed=17, spec=spec)
+        second = scenario_queries(light_stack.compiled, "poisson", 120, 300,
+                                  seed=17, spec=spec)
         assert [q.arrival_s for q in first] == [q.arrival_s
                                                for q in second]
         assert [q.model.name for q in first] == [q.model.name
@@ -54,10 +54,10 @@ class TestPoissonDeterminism:
     def test_seed_changes_both_gaps_and_choices(self, light_stack):
         spec = WorkloadSpec(name="mix", entries=(("mobilenet_v2", 1.0),
                                                  ("googlenet", 1.0)))
-        first = poisson_queries(light_stack.compiled, spec, 120, 300,
-                                seed=17)
-        other = poisson_queries(light_stack.compiled, spec, 120, 300,
-                                seed=18)
+        first = scenario_queries(light_stack.compiled, "poisson", 120, 300,
+                                 seed=17, spec=spec)
+        other = scenario_queries(light_stack.compiled, "poisson", 120, 300,
+                                 seed=18, spec=spec)
         assert [q.arrival_s for q in first] != [q.arrival_s
                                                 for q in other]
         assert [q.model.name for q in first] != [q.model.name
@@ -66,13 +66,16 @@ class TestPoissonDeterminism:
     def test_rejects_nonpositive_count(self, light_stack):
         spec = WorkloadSpec(name="m", entries=(("mobilenet_v2", 1.0),))
         with pytest.raises(ValueError):
-            poisson_queries(light_stack.compiled, spec, 100, 0)
+            scenario_queries(light_stack.compiled, "poisson", 100, 0,
+                             spec=spec)
 
     def test_uniform_rejects_bad_args(self, light_stack):
         with pytest.raises(ValueError):
-            uniform_queries(light_stack.compiled, "mobilenet_v2", 0, 5)
+            scenario_queries(light_stack.compiled, "uniform", 0, 5,
+                             spec=single_model("mobilenet_v2"))
         with pytest.raises(ValueError):
-            uniform_queries(light_stack.compiled, "mobilenet_v2", 50, -1)
+            scenario_queries(light_stack.compiled, "uniform", 50, -1,
+                             spec=single_model("mobilenet_v2"))
 
 
 class TestInverseQosMixture:
@@ -99,8 +102,8 @@ class TestInverseQosMixture:
     def test_draw_frequencies_track_weights(self, light_stack):
         spec = WorkloadSpec(name="m", entries=(("mobilenet_v2", 3.0),
                                                ("googlenet", 1.0)))
-        queries = poisson_queries(light_stack.compiled, spec, 200, 2000,
-                                  seed=5)
+        queries = scenario_queries(light_stack.compiled, "poisson", 200, 2000,
+                                   seed=5, spec=spec)
         share = (sum(1 for q in queries if q.model.name == "mobilenet_v2")
                  / len(queries))
         assert share == pytest.approx(0.75, abs=0.05)
