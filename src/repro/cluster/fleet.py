@@ -1,25 +1,33 @@
-"""The fleet simulation driver: N node engines, one global arrival stream.
+"""The fleet simulation driver: N node engines, one global event order.
 
 :class:`Cluster` is the multi-node analogue of
 :meth:`ServingStack.run <repro.serving.server.ServingStack.run>`: it
 builds one :class:`~repro.runtime.engine.Engine` + policy per node over
 the stack's *shared* artifacts (one compile pass fleet-wide), then
-co-simulates them against a single arrival stream.  At each global
-arrival every active node is advanced to the arrival instant
-(:meth:`Engine.run_until`), the admission controller rules on the offer,
-the router picks a node from live fleet state, and the query is injected
-into that node's event loop (:meth:`Engine.submit`) — so routing
-decisions see exactly the node states a real front-end would observe at
-that moment, not a post-hoc assignment.
+co-simulates them in one conservative lockstep.  Two sources of events
+exist: the serve heap (offers, autoscale ticks, node joins) and each
+node engine's own heap (arrivals, block finishes, batch timers).  Every
+iteration of the drive loop takes the earliest of them:
+
+* engine events first, ties included — only the engines due at that
+  instant run to it (:meth:`Engine.run_until`), so a completion hook's
+  pipeline hand-off or closed-loop follow-up enters the serve heap at
+  its own instant, before any later event anywhere in the fleet;
+* otherwise the serve event: every active node is brought to its
+  instant, the admission controller rules on an offer, the router picks
+  a node from live fleet state, and the query is injected into that
+  node's event loop (:meth:`Engine.submit`) — so routing decisions see
+  exactly the node states a real front-end would observe at that
+  moment, not a post-hoc assignment.
 
 Fleet membership is dynamic: with an
-:class:`~repro.cluster.autoscale.AutoscalePolicy` the serve loop
-interleaves control ticks into the offer heap, provisions nodes from
-the policy's template (with a warm-up delay before they join the
-routing set), and drains nodes out (they leave the routing set, finish
-their in-flight work, then retire and stop being driven).  Routers and
-admission only ever see the *live* membership; the scaling timeline and
-per-node lifecycle land in the :class:`~repro.cluster.metrics.ClusterReport`.
+:class:`~repro.cluster.autoscale.AutoscalePolicy` the serve heap
+carries control ticks, provisions nodes from the policy's template
+(with a warm-up delay before they join the routing set), and drains
+nodes out (they leave the routing set, finish their in-flight work,
+then retire and stop being driven).  Routers and admission only ever
+see the *live* membership; the scaling timeline and per-node lifecycle
+land in the :class:`~repro.cluster.metrics.ClusterReport`.
 """
 
 from __future__ import annotations
@@ -168,73 +176,6 @@ class Cluster:
         #: included.  ``record_trace(cluster.last_offered, ...)``
         #: captures a feedback-shaped stream for open-loop replay.
         self.last_offered: list[Query] | None = None
-        #: Completion hook installed on node engines while a
-        #: request-model serve is in flight (None otherwise); kept on
-        #: the instance so autoscale-provisioned nodes get it too.
-        self._stream_hook = None
-
-    def _build_nodes(self, tracer=None) -> list[ClusterNode]:
-        return [ClusterNode(index, node_spec, self.stack, tracer=tracer)
-                for index, node_spec in enumerate(self.spec.nodes)]
-
-    def _build_router(self) -> Router:
-        if isinstance(self.router, Router):
-            return self.router
-        return make_router(self.router)
-
-    def _provision(self, all_nodes: list[ClusterNode], name: str,
-                   now: float, tracer=None) -> ClusterNode:
-        """A warming node from the autoscale template, joined later.
-
-        Reuses ``stack.runtime_for`` + the artifact store contract:
-        spin-up re-profiles for the template's device (memoised after
-        the first node of a width) but never recompiles.
-        """
-        spec = NodeSpec(name=name, device=self.autoscale.template.device,
-                        policy=self.autoscale.template.policy)
-        node = ClusterNode(len(all_nodes), spec, self.stack, tracer=tracer)
-        node.engine.on_complete = self._stream_hook
-        node.state = WARMING
-        node.provisioned_s = now
-        all_nodes.append(node)
-        return node
-
-    @staticmethod
-    def _retire_time(node: ClusterNode) -> float:
-        """When a drained node actually emptied: its last finish."""
-        completed = node.engine.completed
-        finish = completed[-1].finished_s if completed else None
-        retired = node.drain_started_s
-        if finish is not None and finish > retired:
-            retired = finish
-        return retired
-
-    @classmethod
-    def _retire(cls, node: ClusterNode, routable: list[ClusterNode],
-                timeline: list[ScalingEvent]) -> None:
-        """Mark a drained node retired at its actual last-finish time."""
-        node.retired_s = cls._retire_time(node)
-        node.state = RETIRED
-        timeline.append(ScalingEvent(
-            time_s=node.retired_s, action=RETIRE, node=node.spec.name,
-            live_nodes=len(routable)))
-
-    @classmethod
-    def _retire_drained(cls, all_nodes: list[ClusterNode],
-                        routable: list[ClusterNode],
-                        timeline: list[ScalingEvent]) -> None:
-        """Retire every emptied draining node, in retire-time order.
-
-        Concurrently draining nodes empty at their own last-finish
-        instants; retiring them in node-index order would stamp the
-        timeline out of chronological order.
-        """
-        emptied = [node for node in all_nodes
-                   if node.state == DRAINING
-                   and node.engine.outstanding == 0]
-        emptied.sort(key=lambda node: (cls._retire_time(node), node.index))
-        for node in emptied:
-            cls._retire(node, routable, timeline)
 
     def serve(self, queries: list[Query],
               offered_qps: float | None = None,
@@ -254,247 +195,380 @@ class Cluster:
                      tracer=None) -> ClusterReport:
         """Serve a :class:`repro.workloads.RequestStream` fleet-wide.
 
-        The request-model twin of :meth:`serve`: pipeline stage *k+1*
+        The request-model twin of :meth:`serve`, on the same drive loop:
+        engines advance in global event order, so pipeline stage *k+1*
         is offered (through admission and routing, like any query) the
-        instant stage *k* completes; closed-loop tenants issue their
-        next request at each completion or shed.  A *deferred* pipeline
-        stage re-offers as usual; a *shed* stage fails the whole
-        pipeline's QoS and no later stage runs.  The returned report
-        carries :attr:`ClusterReport.pipelines` /
-        :attr:`ClusterReport.sessions` rollups.
+        instant stage *k* completes, and closed-loop tenants issue their
+        next request at each completion or shed — before any later event
+        on any node.  A *deferred* pipeline stage re-offers as usual; a
+        *shed* stage fails the whole pipeline's QoS and no later stage
+        runs.  A one-node ``round_robin`` fleet is the single-node
+        driver.  The returned report carries
+        :attr:`ClusterReport.pipelines` / :attr:`ClusterReport.sessions`
+        rollups.
         """
         initial: list[Query] = list(stream.queries)
-        # Stage queries key by (pipeline id, stage index) — unique per
-        # stage and stable across runs, unlike object identity.
-        stage_owner: dict[tuple[int, int], object] = {}
-        for pipeline in stream.pipelines:
-            first = pipeline.stages[0]
-            stage_owner[(first.query_id, first.stage)] = pipeline
-            initial.append(first)
+        initial.extend(pipeline.stages[0] for pipeline in stream.pipelines)
         for tenant in stream.tenants:
             initial.extend(tenant.initial_requests())
         return self._serve(initial, offered_qps=offered_qps, tracer=tracer,
-                           stream=stream, stage_owner=stage_owner)
+                           stream=stream)
 
     def _serve(self, queries: list[Query],
                offered_qps: float | None = None,
-               tracer=None, stream=None,
-               stage_owner: dict[tuple[int, int], object] | None = None
-               ) -> ClusterReport:
+               tracer=None, stream=None) -> ClusterReport:
+        """The drive loop: one event per iteration, in global time order.
+
+        An engine event that comes first — or ties with the serve
+        heap's head — steps only the engines due at that instant;
+        otherwise the serve heap's head (offer, tick or join) is
+        handled.  The loop ends when both are exhausted.
+        """
         if not queries:
             raise ValueError("cannot serve an empty stream")
-        interactive = stream is not None and stream.interactive
-        stage_owner = stage_owner if stage_owner is not None else {}
-        tenants_by_session = (
-            {tenant.session: tenant for tenant in stream.tenants}
-            if stream is not None else {})
-        nodes = self._build_nodes(tracer)
-        router = self._build_router()
-        #: Score-based routers publish per-node scores when this is set.
-        router.tracer = tracer
-        controller = (AdmissionController(self.admission)
-                      if self.admission is not None else None)
-        scaler = (AutoscaleController(self.autoscale)
-                  if self.autoscale is not None else None)
+        run = _ServeRun(self, queries, tracer, stream)
+        handlers = {_OFFER: run.offer, _TICK: run.tick, _JOIN: run.join}
+        events = run.events
+        while True:
+            due_s, due = run.next_engine_event()
+            if events and (not due or events[0][0] < due_s):
+                now, _, kind, payload = heapq.heappop(events)
+                run.advance(now)
+                handlers[kind](now, payload)
+            elif due:
+                run.step(due_s, due)
+            else:
+                break
+        self.last_nodes = run.all_nodes
+        self.last_autoscale = run.scaler
+        self.last_offered = run.offered_log
+        return run.report(offered_qps)
 
-        start_s = min(query.arrival_s for query in queries)
+    def report(self, spec: WorkloadSpec, qps: float, count: int,
+               seed: int | None = None, scenario=None,
+               tracer=None) -> ClusterReport:
+        """Generate a stream, serve it fleet-wide, summarise.
+
+        Default arrivals are the stationary Poisson stream; a
+        ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
+        registered name) swaps in any trace-driven shape at mean rate
+        ``qps`` — the fleet twin of ``ServingStack.report``.
+        ``tracer`` records the serve (see :meth:`serve`).
+        """
+        queries = scenario_queries(
+            self.stack.compiled, scenario, qps, count,
+            seed=self.stack.seed if seed is None else seed, spec=spec)
+        return self.serve(queries, offered_qps=qps, tracer=tracer)
+
+
+class _ServeRun:
+    """One serve's mutable state and its per-event-kind handlers.
+
+    :meth:`Cluster._serve` owns the drive loop and hands each event to
+    :meth:`step` (engine events), :meth:`offer`, :meth:`tick` or
+    :meth:`join`; :meth:`handoff` is the node engines' completion hook
+    for request-model streams.
+    """
+
+    def __init__(self, cluster: Cluster, queries: list[Query], tracer,
+                 stream) -> None:
+        self.cluster = cluster
+        self.tracer = tracer
+        self.stream = stream
+        pipelines = stream.pipelines if stream is not None else ()
+        tenants = stream.tenants if stream is not None else ()
+        #: In-flight pipelines keyed by their pending stage's (pipeline
+        #: id, stage index) — unique per stage and stable across runs,
+        #: unlike object identity.  Stage queries carry the pipeline id.
+        self.stage_owner = {(pipeline.pipeline_id, 0): pipeline
+                            for pipeline in pipelines}
+        self.tenants = {tenant.session: tenant for tenant in tenants}
+        #: Node engines' completion hook (request-model streams only).
+        self.on_complete = self.handoff if stream is not None else None
+        nodes = [ClusterNode(index, node_spec, cluster.stack, tracer=tracer)
+                 for index, node_spec in enumerate(cluster.spec.nodes)]
+        self.router = (cluster.router if isinstance(cluster.router, Router)
+                       else make_router(cluster.router))
+        #: Score-based routers publish per-node scores when this is set.
+        self.router.tracer = tracer
+        self.controller = (AdmissionController(cluster.admission)
+                           if cluster.admission is not None else None)
+        self.scaler = (AutoscaleController(cluster.autoscale)
+                       if cluster.autoscale is not None else None)
+
+        self.start_s = min(query.arrival_s for query in queries)
         for node in nodes:
-            node.provisioned_s = start_s
-            node.joined_s = start_s
+            node.provisioned_s = self.start_s
+            node.joined_s = self.start_s
+            node.engine.on_complete = self.on_complete
         #: Every node ever provisioned, in provision order (ascending
         #: ``index``); membership state lives on the nodes.
-        all_nodes = list(nodes)
+        self.all_nodes = list(nodes)
         #: The routing set: live nodes, ascending index (provisioned
         #: nodes join strictly after every earlier join).
-        routable = list(nodes)
-        timeline: list[ScalingEvent] = []
-        peak_live = len(routable)
-        auto_names = itertools.count(1)
+        self.routable = list(nodes)
+        self.timeline: list[ScalingEvent] = []
+        self.peak_live = len(self.routable)
+        self.auto_names = itertools.count(1)
 
-        # Event heap: offers seeded with every arrival (deferred queries
+        # Serve heap: offers seeded with every arrival (deferred queries
         # re-pushed at their re-offer instant with the attempt count
         # bumped), plus autoscale control ticks and node-join events.
-        seq = itertools.count()
-        events = [(query.arrival_s, next(seq), _OFFER, (0, query))
-                  for query in sorted(queries,
-                                      key=lambda q: (q.arrival_s,
-                                                     q.query_id))]
-        heapq.heapify(events)
-        #: Offers not yet resolved; a one-slot holder so the completion
-        #: hook below can add follow-up offers mid-flight.
-        pending = [len(events)]
+        self.seq = itertools.count()
+        self.events = [(query.arrival_s, next(self.seq), _OFFER, (0, query))
+                       for query in sorted(queries,
+                                           key=lambda q: (q.arrival_s,
+                                                          q.query_id))]
+        heapq.heapify(self.events)
+        #: Offers not yet resolved.
+        self.pending = len(self.events)
         #: Every stage-level query ever offered, in offer order.
-        offered_log = list(queries)
-        if scaler is not None:
-            heapq.heappush(events, (start_s + self.autoscale.tick_s,
-                                    next(seq), _TICK, None))
-        shed: list[Query] = []
-        last_advance = float("-inf")
+        self.offered_log = list(queries)
+        if self.scaler is not None:
+            self.push(self.start_s + cluster.autoscale.tick_s, _TICK, None)
+        self.shed: list[Query] = []
+        self.last_advance = float("-inf")
 
-        def offer(query: Query, at: float) -> None:
-            """Push a hook-generated offer into the serve heap."""
-            offered_log.append(query)
-            heapq.heappush(events, (at, next(seq), _OFFER, (0, query)))
-            pending[0] += 1
+    def push(self, at: float, kind: str, payload) -> None:
+        heapq.heappush(self.events, (at, next(self.seq), kind, payload))
 
-        def stream_hook(engine: Engine, query: Query) -> None:
-            """Completion seam: pipeline hand-off + closed-loop issue.
+    def issue(self, query: Query, at: float) -> None:
+        """Offer a hand-off or follow-up through the serve heap."""
+        self.offered_log.append(query)
+        self.push(at, _OFFER, (0, query))
+        self.pending += 1
 
-            Fires inside a node engine's drive loop; ``engine.now`` is
-            the completion instant.  New offers go through the *serve*
-            heap — admission and routing see them like any arrival.
-            """
-            owner = stage_owner.pop((query.query_id, query.stage), None) \
-                if query.stage is not None else None
-            if owner is not None:
-                owner.next_stage = query.stage + 1
-                if owner.next_stage >= len(owner.stages):
-                    owner.finished_s = engine.now
-                else:
-                    nxt = owner.stages[owner.next_stage]
-                    nxt.arrival_s = engine.now
-                    stage_owner[(nxt.query_id, nxt.stage)] = owner
-                    offer(nxt, engine.now)
-                return
-            if query.session is not None:
-                tenant = tenants_by_session.get(query.session)
-                if tenant is not None:
-                    tenant.observe(query)
-                    follow = tenant.next_request(engine.now)
-                    if follow is not None:
-                        offer(follow, follow.arrival_s)
+    # ------------------------------------------------------------------
+    # engine events
 
-        self._stream_hook = stream_hook if interactive else None
-        if interactive:
-            for node in nodes:
-                node.engine.on_complete = stream_hook
-
-        while True:
-            if not events:
-                if not interactive:
-                    break
-                # Interactive tail: no offers in flight, but in-flight
-                # work may still complete and (via the hook) generate
-                # new ones.  Advance every live node to the earliest
-                # engine event, in global time order, and loop — done
-                # only when the fleet is truly idle.
-                times = [t for t in (node.engine.next_event_s()
-                                     for node in all_nodes
-                                     if node.state != RETIRED)
-                         if t is not None]
-                if not times:
-                    break
-                target = min(times)
-                for node in all_nodes:
-                    if node.state != RETIRED:
-                        node.engine.run_until(target)
-                if target > last_advance:
-                    last_advance = target
-                self._retire_drained(all_nodes, routable, timeline)
+    def next_engine_event(self) -> tuple[float | None, list[ClusterNode]]:
+        """The earliest engine event time and the nodes due at it."""
+        due_s = None
+        due: list[ClusterNode] = []
+        for node in self.all_nodes:
+            if node.state == RETIRED:
                 continue
-            now, _, kind, payload = heapq.heappop(events)
-            if now > last_advance:
-                # Advance once per distinct event time (re-offers and
-                # simultaneous arrivals share the advance), and only
-                # drive nodes that still have or may get work.
-                for node in all_nodes:
-                    if node.state != RETIRED:
-                        node.engine.run_until(now)
-                last_advance = now
-                self._retire_drained(all_nodes, routable, timeline)
-
-            if kind == _TICK:
-                if pending[0] > 0:
-                    self._autoscale_tick(scaler, all_nodes, routable,
-                                         timeline, events, seq,
-                                         auto_names, now, tracer=tracer)
-                    heapq.heappush(
-                        events, (now + self.autoscale.tick_s, next(seq),
-                                 _TICK, None))
+            at = node.engine.next_event_s()
+            if at is None or (due_s is not None and at > due_s):
                 continue
-            if kind == _JOIN:
-                node = payload
-                node.state = LIVE
-                node.joined_s = now
-                routable.append(node)
-                peak_live = max(peak_live, len(routable))
-                timeline.append(ScalingEvent(
-                    time_s=now, action=JOIN, node=node.spec.name,
-                    live_nodes=len(routable)))
-                continue
+            if due_s is None or at < due_s:
+                due_s = at
+                due = [node]
+            else:
+                due.append(node)
+        return due_s, due
 
-            pending[0] -= 1
-            attempts, query = payload
-            if controller is not None:
-                decision = controller.decide(routable, query, attempts)
-                if decision == DEFER:
-                    heapq.heappush(
-                        events,
-                        (now + controller.policy.defer_s, next(seq),
-                         _OFFER, (attempts + 1, query)))
-                    pending[0] += 1
-                    if tracer is not None:
-                        tracer.event("admission.defer", now, cat="cluster",
-                                     qid=query.query_id,
-                                     args={"attempts": attempts})
-                    continue
-                if decision != ADMIT:
-                    shed.append(query)
-                    if tracer is not None:
-                        tracer.event("admission.shed", now, cat="cluster",
-                                     qid=query.query_id,
-                                     args={"attempts": attempts})
-                    owner = (stage_owner.pop(
-                        (query.query_id, query.stage), None)
-                        if query.stage is not None else None)
-                    if owner is not None:
-                        # A shed stage fails the whole pipeline: no
-                        # later stage runs, its QoS counts as missed.
-                        owner.shed_stage = query.stage
-                        if tracer is not None:
-                            tracer.event(
-                                "pipeline.failed", now, cat="pipeline",
-                                qid=owner.pipeline_id,
-                                args={"stage": query.stage})
-                    elif query.session is not None:
-                        tenant = tenants_by_session.get(query.session)
-                        if tenant is not None:
-                            # Shedding hands control back to the tenant
-                            # too — its next request still issues, so a
-                            # shedding fleet sees reduced load, not a
-                            # frozen session.
-                            tenant.observe(query, shed=True)
-                            follow = tenant.next_request(now)
-                            if follow is not None:
-                                offer(follow, follow.arrival_s)
-                    continue
-            node = router.choose(routable, query, now)
-            if tracer is not None:
-                args = {"node": node.spec.name, "attempts": attempts}
-                if router.last_scores is not None:
-                    args["scores"] = router.last_scores
-                    router.last_scores = None
-                tracer.event("route", now, cat="cluster",
-                             node=node.spec.name, qid=query.query_id,
-                             args=args)
-            node.engine.submit(query, at=now)
-            node.assigned += 1
-            # Process the arrival at its own instant so the next offer
-            # at the same timestamp routes on fresh node state (the
-            # per-offer full-fleet advance this replaces did exactly
-            # this, O(nodes) times over).
+    def step(self, now: float, due: list[ClusterNode]) -> None:
+        """Run the engines due at ``now`` — and only those — to ``now``."""
+        for node in due:
             node.engine.run_until(now)
+        self.retire_drained()
 
-        # Tail: finish in-flight work everywhere, then stamp lifecycle.
-        # An interactive serve already drained incrementally above (the
-        # hook needed completions in global time order), so these
-        # drains are no-ops there; the legacy per-node tail is kept
-        # verbatim for open-loop serves — bit-identical results.
-        for node in all_nodes:
-            if node.state != RETIRED:
-                node.engine.drain()
-        self._retire_drained(all_nodes, routable, timeline)
-        self._stream_hook = None
+    def handoff(self, engine: Engine, query: Query) -> None:
+        """Completion hook: pipeline hand-off + closed-loop issue.
+
+        Fires inside a node engine's drive loop; ``engine.now`` is the
+        completion instant.  New offers go through the *serve* heap —
+        admission and routing see them like any arrival.
+        """
+        owner = self.stage_owner.pop((query.query_id, query.stage), None)
+        if owner is None:
+            self.follow_up(query, engine.now)
+            return
+        owner.next_stage = query.stage + 1
+        if owner.next_stage >= len(owner.stages):
+            owner.finished_s = engine.now
+            return
+        nxt = owner.stages[owner.next_stage]
+        nxt.arrival_s = engine.now
+        self.stage_owner[(nxt.query_id, nxt.stage)] = owner
+        self.issue(nxt, engine.now)
+
+    def follow_up(self, query: Query, now: float, shed: bool = False) -> None:
+        """Hand control back to the query's closed-loop tenant, if any."""
+        tenant = self.tenants.get(query.session)
+        if tenant is None:
+            return
+        tenant.observe(query, shed=shed)
+        follow = tenant.next_request(now)
+        if follow is not None:
+            self.issue(follow, follow.arrival_s)
+
+    # ------------------------------------------------------------------
+    # serve-heap events
+
+    def advance(self, now: float) -> None:
+        """Bank every active node's progress up to a serve event.
+
+        No engine event is due at or before ``now`` (the loop steps
+        those first), so this only refreshes the state routers observe;
+        once per distinct instant, as re-offers and simultaneous
+        arrivals share it.
+        """
+        if now > self.last_advance:
+            for node in self.all_nodes:
+                if node.state != RETIRED:
+                    node.engine.run_until(now)
+            self.last_advance = now
+
+    def offer(self, now: float, payload: tuple[int, Query]) -> None:
+        """Admit (or defer, or shed) one offer and route it to a node."""
+        self.pending -= 1
+        attempts, query = payload
+        tracer = self.tracer
+        if self.controller is not None:
+            decision = self.controller.decide(self.routable, query, attempts)
+            if decision == DEFER:
+                self.push(now + self.controller.policy.defer_s, _OFFER,
+                          (attempts + 1, query))
+                self.pending += 1
+                if tracer is not None:
+                    tracer.event("admission.defer", now, cat="cluster",
+                                 qid=query.query_id,
+                                 args={"attempts": attempts})
+                return
+            if decision != ADMIT:
+                self.reject(now, attempts, query)
+                return
+        node = self.router.choose(self.routable, query, now)
+        if tracer is not None:
+            args = {"node": node.spec.name, "attempts": attempts}
+            if self.router.last_scores is not None:
+                args["scores"] = self.router.last_scores
+                self.router.last_scores = None
+            tracer.event("route", now, cat="cluster", node=node.spec.name,
+                         qid=query.query_id, args=args)
+        node.engine.submit(query, at=now)
+        node.assigned += 1
+        # Process the arrival at its own instant so the next offer at
+        # the same timestamp routes on fresh node state.
+        node.engine.run_until(now)
+
+    def reject(self, now: float, attempts: int, query: Query) -> None:
+        """Account a shed offer: it fails its pipeline or frees a slot."""
+        self.shed.append(query)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.event("admission.shed", now, cat="cluster",
+                         qid=query.query_id, args={"attempts": attempts})
+        owner = self.stage_owner.pop((query.query_id, query.stage), None)
+        if owner is None:
+            # Shedding hands control back to a closed-loop tenant too —
+            # its next request still issues, so a shedding fleet sees
+            # reduced load, not a frozen session.
+            self.follow_up(query, now, shed=True)
+            return
+        # A shed stage fails the whole pipeline: no later stage runs,
+        # its QoS counts as missed.
+        owner.shed_stage = query.stage
+        if tracer is not None:
+            tracer.event("pipeline.failed", now, cat="pipeline",
+                         qid=owner.pipeline_id, args={"stage": query.stage})
+
+    def tick(self, now: float, _payload) -> None:
+        """One autoscale control tick; re-armed while offers are pending."""
+        if self.pending <= 0:
+            return
+        scaler, policy = self.scaler, self.cluster.autoscale
+        for node in self.all_nodes:
+            completed = node.engine.completed
+            if node._slo_cursor < len(completed):
+                scaler.observe_completions(completed[node._slo_cursor:])
+                node._slo_cursor = len(completed)
+        warming = sum(1 for node in self.all_nodes if node.state == WARMING)
+        delta = scaler.decide(now, self.routable, warming)
+        if delta > 0:
+            for _ in range(delta):
+                name = f"{policy.template.name}-{next(self.auto_names)}"
+                node = self.provision(name, now)
+                self.timeline.append(ScalingEvent(
+                    time_s=now, action=PROVISION, node=name,
+                    live_nodes=len(self.routable), reason=scaler.reason()))
+                self.push(now + policy.warmup_s, _JOIN, node)
+        elif delta < 0:
+            # Drain the emptiest live node; prefer the youngest on ties
+            # (scale-in releases the most recently acquired capacity).
+            victim = min(self.routable,
+                         key=lambda n: (n.engine.outstanding, -n.index))
+            self.routable.remove(victim)
+            victim.state = DRAINING
+            victim.drain_started_s = now
+            self.timeline.append(ScalingEvent(
+                time_s=now, action=DRAIN, node=victim.spec.name,
+                live_nodes=len(self.routable), reason=scaler.reason()))
+            if victim.engine.outstanding == 0:
+                self.retire(victim)
+        self.push(now + policy.tick_s, _TICK, None)
+
+    def join(self, now: float, node: ClusterNode) -> None:
+        """A warmed-up node enters the routing set."""
+        node.state = LIVE
+        node.joined_s = now
+        self.routable.append(node)
+        self.peak_live = max(self.peak_live, len(self.routable))
+        self.timeline.append(ScalingEvent(
+            time_s=now, action=JOIN, node=node.spec.name,
+            live_nodes=len(self.routable)))
+
+    # ------------------------------------------------------------------
+    # membership
+
+    def provision(self, name: str, now: float) -> ClusterNode:
+        """A warming node from the autoscale template, joined later.
+
+        Reuses ``stack.runtime_for`` + the artifact store contract:
+        spin-up re-profiles for the template's device (memoised after
+        the first node of a width) but never recompiles.
+        """
+        template = self.cluster.autoscale.template
+        spec = NodeSpec(name=name, device=template.device,
+                        policy=template.policy)
+        node = ClusterNode(len(self.all_nodes), spec, self.cluster.stack,
+                           tracer=self.tracer)
+        node.engine.on_complete = self.on_complete
+        node.state = WARMING
+        node.provisioned_s = now
+        self.all_nodes.append(node)
+        return node
+
+    @staticmethod
+    def retire_time(node: ClusterNode) -> float:
+        """When a drained node actually emptied: its last finish."""
+        completed = node.engine.completed
+        finish = completed[-1].finished_s if completed else None
+        retired = node.drain_started_s
+        if finish is not None and finish > retired:
+            retired = finish
+        return retired
+
+    def retire(self, node: ClusterNode) -> None:
+        """Mark a drained node retired at its actual last-finish time."""
+        node.retired_s = self.retire_time(node)
+        node.state = RETIRED
+        self.timeline.append(ScalingEvent(
+            time_s=node.retired_s, action=RETIRE, node=node.spec.name,
+            live_nodes=len(self.routable)))
+
+    def retire_drained(self) -> None:
+        """Retire every emptied draining node, in retire-time order.
+
+        Concurrently draining nodes empty at their own last-finish
+        instants; retiring them in node-index order would stamp the
+        timeline out of chronological order.
+        """
+        emptied = [node for node in self.all_nodes
+                   if node.state == DRAINING
+                   and node.engine.outstanding == 0]
+        emptied.sort(key=lambda node: (self.retire_time(node), node.index))
+        for node in emptied:
+            self.retire(node)
+
+    # ------------------------------------------------------------------
+
+    def report(self, offered_qps: float | None) -> ClusterReport:
+        """Stamp lifecycles and roll the finished serve up."""
+        offered_log, all_nodes = self.offered_log, self.all_nodes
+        tracer, stream = self.tracer, self.stream
         window_end = max(
             [query.arrival_s for query in offered_log]
             + [node.engine.completed[-1].finished_s
@@ -536,14 +610,14 @@ class Cluster:
             # trace double as an offline training set for learned
             # routers (one sample per control tick, with the scale.*
             # decisions interleaved by timestamp).
-            for event in timeline:
+            for event in self.timeline:
                 args = {"live_nodes": event.live_nodes}
                 if event.reason:
                     args["reason"] = event.reason
                 tracer.event(f"scale.{event.action}", event.time_s,
                              cat="autoscale", node=event.node, args=args)
-            if scaler is not None:
-                for signal in scaler.signals:
+            if self.scaler is not None:
+                for signal in self.scaler.signals:
                     tracer.counter(
                         "fleet.signals", signal.time_s,
                         {field: getattr(signal, field)
@@ -577,70 +651,13 @@ class Cluster:
                           "satisfied": tenant.satisfied,
                           "shed": tenant.shed})
 
-        self.last_nodes = all_nodes
-        self.last_autoscale = scaler
-        self.last_offered = offered_log
         return rollup(
-            offered=offered_log, node_results=node_results, shed=shed,
-            deferrals=controller.deferrals if controller else 0,
-            offered_qps=offered_qps, router=router.name,
-            timeline=tuple(timeline), peak_live_nodes=peak_live,
-            window=(start_s, window_end),
+            offered=offered_log, node_results=node_results, shed=self.shed,
+            deferrals=self.controller.deferrals if self.controller else 0,
+            offered_qps=offered_qps, router=self.router.name,
+            timeline=tuple(self.timeline), peak_live_nodes=self.peak_live,
+            window=(self.start_s, window_end),
             pipelines=(pipeline_rollup(stream.pipelines)
                        if stream is not None else None),
             sessions=(session_reports(stream.tenants)
                       if stream is not None else ()))
-
-    def _autoscale_tick(self, scaler: AutoscaleController,
-                        all_nodes: list[ClusterNode],
-                        routable: list[ClusterNode],
-                        timeline: list[ScalingEvent], events: list,
-                        seq, auto_names, now: float,
-                        tracer=None) -> None:
-        """One control tick: feed the SLO window, maybe resize the fleet."""
-        for node in all_nodes:
-            completed = node.engine.completed
-            if node._slo_cursor < len(completed):
-                scaler.observe_completions(completed[node._slo_cursor:])
-                node._slo_cursor = len(completed)
-        warming = sum(1 for node in all_nodes if node.state == WARMING)
-        delta = scaler.decide(now, routable, warming)
-        if delta > 0:
-            for _ in range(delta):
-                name = f"{self.autoscale.template.name}-{next(auto_names)}"
-                node = self._provision(all_nodes, name, now, tracer=tracer)
-                timeline.append(ScalingEvent(
-                    time_s=now, action=PROVISION, node=name,
-                    live_nodes=len(routable), reason=scaler.reason()))
-                heapq.heappush(
-                    events, (now + self.autoscale.warmup_s, next(seq),
-                             _JOIN, node))
-        elif delta < 0:
-            # Drain the emptiest live node; prefer the youngest on ties
-            # (scale-in releases the most recently acquired capacity).
-            victim = min(routable,
-                         key=lambda n: (n.engine.outstanding, -n.index))
-            routable.remove(victim)
-            victim.state = DRAINING
-            victim.drain_started_s = now
-            timeline.append(ScalingEvent(
-                time_s=now, action=DRAIN, node=victim.spec.name,
-                live_nodes=len(routable), reason=scaler.reason()))
-            if victim.engine.outstanding == 0:
-                self._retire(victim, routable, timeline)
-
-    def report(self, spec: WorkloadSpec, qps: float, count: int,
-               seed: int | None = None, scenario=None,
-               tracer=None) -> ClusterReport:
-        """Generate a stream, serve it fleet-wide, summarise.
-
-        Default arrivals are the stationary Poisson stream; a
-        ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
-        registered name) swaps in any trace-driven shape at mean rate
-        ``qps`` — the fleet twin of ``ServingStack.report``.
-        ``tracer`` records the serve (see :meth:`serve`).
-        """
-        queries = scenario_queries(
-            self.stack.compiled, scenario, qps, count,
-            seed=self.stack.seed if seed is None else seed, spec=spec)
-        return self.serve(queries, offered_qps=qps, tracer=tracer)

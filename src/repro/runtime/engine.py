@@ -724,10 +724,10 @@ class Engine:
 
         The cluster driver feeds each node engine incrementally: it
         ``begin``-s with an empty stream, then alternates
-        :meth:`run_until` (advance to the next global arrival) and
-        :meth:`submit` (inject the query the router assigned here), and
-        finally :meth:`drain`-s the tail.  :meth:`run` is exactly
-        ``begin`` + drive-to-completion.
+        :meth:`run_until` (to the node's next event, or to the next
+        global offer) and :meth:`submit` (inject the query the router
+        assigned here).  :meth:`run` is exactly ``begin`` +
+        drive-to-completion.
         """
         self._scheduler = scheduler
         self._stage_arrivals(queries)
@@ -738,11 +738,15 @@ class Engine:
         ``at`` sets the event time instead (an admission controller
         re-offering a deferred query) — the query's own ``arrival_s``
         is untouched, so its latency still counts the deferral.  Event
-        times never go backwards: anything earlier than ``now`` fires
-        immediately.
+        times never go backwards: a time before :attr:`now` (or NaN)
+        raises ``ValueError`` and leaves the engine untouched.
         """
         time = query.arrival_s if at is None else at
-        self._push_event(max(time, self.now), "arrival", query)
+        if not time >= self.now:
+            raise ValueError(
+                f"query {query.query_id}: arrival event at {time!r} s is "
+                f"before the engine clock {self.now!r} s")
+        self._push_event(time, "arrival", query)
 
     def run_until(self, until_s: float) -> None:
         """Process every event at ``time <= until_s``; resumable.
@@ -764,9 +768,9 @@ class Engine:
         ``engine.now`` equal to that query's ``finished_s``.  Batch
         members are appended (and hooked) individually, in member
         order, at the fused block's finish.  The hook may
-        :meth:`submit` follow-up work; such arrivals are clamped to no
-        earlier than the completion instant, and the drain keeps
-        running until hook-generated work is exhausted too.
+        :meth:`submit` follow-up work at or after the completion instant
+        (an earlier arrival raises), and the drain keeps running until
+        hook-generated work is exhausted too.
         """
         self._drive(horizon_s=None, resumable=False)
         return self.completed
@@ -776,10 +780,10 @@ class Engine:
 
         Pops stale finish events (and stale batch-flush timers) off the
         heap top exactly as the drive loop would, so the answer is the
-        time :meth:`run_until` would next act at.  The cluster's
-        interactive tail drain uses this to advance all nodes in global
-        time order, keeping completion-hook hand-offs causally ordered
-        across nodes.
+        time :meth:`run_until` would next act at.  The cluster's drive
+        loop compares it across nodes and with its own serve heap, so
+        only the engines due at the earliest instant are stepped and
+        completion-hook hand-offs stay causally ordered fleet-wide.
         """
         while self._events:
             time, _, kind, payload = self._events[0]

@@ -35,9 +35,9 @@ def open_loop_scenario(scenario):
     Request-model scenarios (``closed_loop``/``pipeline``) are rejected
     up front: the open-loop sweep drivers pre-draw a fixed stream per
     load, which a completion-driven scenario cannot express — run those
-    through :meth:`ServingStack.run_stream
-    <repro.serving.server.ServingStack.run_stream>` or
-    :meth:`Cluster.serve_stream <repro.cluster.fleet.Cluster.serve_stream>`.
+    through :meth:`Cluster.serve_stream
+    <repro.cluster.fleet.Cluster.serve_stream>` (a one-node
+    ``round_robin`` fleet is the single-node driver).
     (Import is lazy: ``repro.workloads`` sits above this module in the
     layering.)
     """
@@ -47,7 +47,8 @@ def open_loop_scenario(scenario):
         raise ValueError(
             f"scenario {resolved.name!r} uses the request model "
             "(closed-loop/pipeline); open-loop sweeps cannot drive it — "
-            "use ServingStack.run_stream or Cluster.serve_stream")
+            "use Cluster.serve_stream (one node: homogeneous(1), "
+            "router='round_robin')")
     return resolved
 
 

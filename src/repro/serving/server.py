@@ -92,27 +92,6 @@ class NodeRuntime:
         return getattr(self.cpu, "kind", "cpu")
 
 
-@dataclass
-class StreamOutcome:
-    """Result of :meth:`ServingStack.run_stream`.
-
-    ``completed`` are the stage-level queries in completion order
-    (exactly what :func:`repro.serving.metrics.summarize` consumes);
-    ``issued`` is every stage-level query submitted over the run with
-    its *realized* arrival time — pipeline hand-offs and closed-loop
-    follow-ups included — so ``record_trace(outcome.issued, ...)``
-    captures the feedback-shaped stream for open-loop replay.
-    ``pipelines`` / ``tenants`` (``PipelineQuery`` /
-    ``ClosedLoopTenant`` objects) carry the request-level outcomes.
-    """
-
-    completed: list[Query]
-    engine: Engine
-    issued: list[Query]
-    pipelines: list
-    tenants: list
-
-
 class _LazyArtifacts(Mapping):
     """Name-keyed model artifacts, built on first access.
 
@@ -387,67 +366,6 @@ class ServingStack:
         scheduler = self.make_scheduler(policy)
         completed = engine.run(queries, scheduler)
         return completed, engine
-
-    def run_stream(self, policy: str, stream,
-                   batching: BatchPolicy | None = None,
-                   tracer=None) -> "StreamOutcome":
-        """Drive a :class:`repro.workloads.RequestStream` to completion.
-
-        The request-model counterpart of :meth:`run`: pipeline stages
-        are handed off (stage *k+1* submitted the instant stage *k*
-        completes) and closed-loop tenants issue their next request at
-        each completion, all through the engine's ``on_complete`` seam.
-        A stream holding only plain ``queries`` behaves exactly like
-        :meth:`run` plus the optional ``batching``.
-        """
-        issued: list[Query] = []
-        # Stage queries key by (pipeline id, stage index) — unique per
-        # stage and stable across runs, unlike object identity.
-        stage_owner: dict[tuple[int, int], "PipelineQuery"] = {}
-        tenants_by_session = {t.session: t for t in stream.tenants}
-
-        def hook(engine: Engine, query: Query) -> None:
-            owner = stage_owner.pop((query.query_id, query.stage), None) \
-                if query.stage is not None else None
-            if owner is not None:
-                owner.next_stage = query.stage + 1
-                if owner.next_stage >= len(owner.stages):
-                    owner.finished_s = engine.now
-                else:
-                    nxt = owner.stages[owner.next_stage]
-                    nxt.arrival_s = engine.now
-                    stage_owner[(nxt.query_id, nxt.stage)] = owner
-                    issued.append(nxt)
-                    engine.submit(nxt)
-                return
-            if query.session is not None:
-                tenant = tenants_by_session.get(query.session)
-                if tenant is not None:
-                    tenant.observe(query)
-                    follow = tenant.next_request(engine.now)
-                    if follow is not None:
-                        issued.append(follow)
-                        engine.submit(follow)
-
-        engine = Engine(self.cost_model, price_cache=self.price_cache,
-                        tracer=tracer, batching=batching, on_complete=hook)
-        scheduler = self.make_scheduler(policy)
-        initial: list[Query] = list(stream.queries)
-        issued.extend(stream.queries)
-        for pipeline in stream.pipelines:
-            first = pipeline.stages[0]
-            stage_owner[(first.query_id, first.stage)] = pipeline
-            initial.append(first)
-            issued.append(first)
-        for tenant in stream.tenants:
-            for query in tenant.initial_requests():
-                initial.append(query)
-                issued.append(query)
-        engine.begin(initial, scheduler)
-        completed = engine.drain()
-        return StreamOutcome(
-            completed=completed, engine=engine, issued=issued,
-            pipelines=list(stream.pipelines), tenants=list(stream.tenants))
 
     def report(self, policy: str, spec: WorkloadSpec, qps: float,
                count: int, seed: int | None = None,

@@ -15,7 +15,7 @@ earn their keep) never appear.  This module adds the missing half:
   when stage *k* completes, the QoS budget is apportioned across
   stages, and a shed stage fails the whole pipeline's QoS.
 * :class:`RequestStream` — what a request-model scenario emits instead
-  of a flat query list; drivers dispatch on :attr:`RequestStream.interactive`.
+  of a flat query list; ``Cluster.serve_stream`` drives it.
 
 Determinism: every tenant owns its own generator seeded
 ``base_seed + session`` (so per-session draws are independent of issue
@@ -240,15 +240,9 @@ class RequestStream:
 
     ``queries`` are plain open-loop arrivals (empty for closed-loop
     scenarios), ``pipelines`` the staged requests, ``tenants`` the
-    closed-loop sessions.  :attr:`interactive` tells a driver whether
-    the stream needs the completion-hook machinery at all — a stream
-    with only ``queries`` runs on the legacy open-loop path untouched.
+    closed-loop sessions.
     """
 
     queries: list[Query] = field(default_factory=list)
     pipelines: list[PipelineQuery] = field(default_factory=list)
     tenants: list[ClosedLoopTenant] = field(default_factory=list)
-
-    @property
-    def interactive(self) -> bool:
-        return bool(self.pipelines) or bool(self.tenants)

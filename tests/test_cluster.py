@@ -27,7 +27,14 @@ from repro.parallel import sweep, sweep_pool
 from repro.runtime.engine import Engine
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.experiments import NodeSweep, capacity
+from repro.serving.server import ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.workloads import (
+    ClosedLoopSpec,
+    PipelineSpec,
+    ScenarioSpec,
+    get_scenario,
+)
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -173,11 +180,19 @@ class TestIncrementalDrive:
         engine.submit(queries[0])       # something to advance through
         engine.run_until(10.0)
         assert engine.now == 10.0
+        heap = list(engine._events)
         late = queries[1]
         late.arrival_s = 1.0  # already in the past
-        engine.submit(late)
+        with pytest.raises(ValueError, match="before the engine clock"):
+            engine.submit(late)
+        with pytest.raises(ValueError, match="before the engine clock"):
+            engine.submit(queries[2], at=9.5)
+        # A refused submit leaves the clock and the event heap alone.
+        assert engine.now == 10.0
+        assert engine._events == heap
+        engine.submit(late, at=10.0)  # the present is fine
         engine.drain()
-        assert late.started_s >= 10.0
+        assert late.started_s == 10.0
 
     def test_drive_requires_scheduler(self, light_stack):
         engine = Engine(light_stack.cost_model)
@@ -437,8 +452,84 @@ MIX_2_1 = WorkloadSpec(name="mix2_1", entries=(("mobilenet_v2", 2.0),
                                                ("googlenet", 1.0)))
 
 
+_CHAIN = ScenarioSpec(name="one-node-chain",
+                      pipeline=PipelineSpec(
+                          name="mn-gn", stages=("mobilenet_v2", "googlenet")))
+_LOOP = ScenarioSpec(name="one-node-loop", workload=MIX_2_1,
+                     closed_loop=ClosedLoopSpec(tenants=3, concurrency=2,
+                                                think_s=0.005))
+
+
+def _reference_stream(stack, stream, policy="veltair_full") -> list:
+    """Oracle: one bare engine whose completion hook submits the work.
+
+    The single-node request-model driver written inline: a pipeline
+    hand-off or closed-loop follow-up goes straight into the same
+    engine at the completion instant.  Returns every issued query.
+    """
+    stage_owner = {}
+    tenants = {tenant.session: tenant for tenant in stream.tenants}
+    issued = list(stream.queries)
+
+    def hook(engine, query):
+        owner = (stage_owner.pop((query.query_id, query.stage), None)
+                 if query.stage is not None else None)
+        if owner is not None:
+            owner.next_stage = query.stage + 1
+            if owner.next_stage >= len(owner.stages):
+                owner.finished_s = engine.now
+            else:
+                nxt = owner.stages[owner.next_stage]
+                nxt.arrival_s = engine.now
+                stage_owner[(nxt.query_id, nxt.stage)] = owner
+                issued.append(nxt)
+                engine.submit(nxt)
+            return
+        tenant = tenants.get(query.session)
+        if tenant is not None:
+            tenant.observe(query)
+            follow = tenant.next_request(engine.now)
+            if follow is not None:
+                issued.append(follow)
+                engine.submit(follow)
+
+    for pipeline in stream.pipelines:
+        first = pipeline.stages[0]
+        stage_owner[(first.query_id, first.stage)] = pipeline
+        issued.append(first)
+    for tenant in stream.tenants:
+        issued.extend(tenant.initial_requests())
+    engine = Engine(stack.cost_model, price_cache=stack.price_cache,
+                    on_complete=hook)
+    engine.begin(list(issued), stack.make_scheduler(policy))
+    engine.drain()
+    return issued
+
+
+def _per_query(queries) -> list[tuple]:
+    return sorted((q.query_id, -1 if q.stage is None else q.stage,
+                   q.arrival_s, q.started_s, q.finished_s, q.core_seconds)
+                  for q in queries)
+
+
 class TestOneNodeFleet:
     """A one-node fleet reproduces a single node exactly."""
+
+    @pytest.mark.parametrize("scenario, qps, count", [
+        (_CHAIN, 5.0, 12),      # hand-offs far from the next arrival
+        (_CHAIN, 300.0, 40),    # hand-offs amid a busy arrival stream
+        (_LOOP, 0.0, 30),       # closed loop, think time between issues
+    ], ids=["chain-low", "chain-high", "closed-loop"])
+    def test_stream_equals_bare_engine(self, light_stack, scenario, qps,
+                                       count):
+        def draw():
+            return scenario.stream(light_stack.compiled, qps=qps,
+                                   count=count, seed=7)
+
+        expected = _per_query(_reference_stream(light_stack, draw()))
+        fleet = Cluster(light_stack, homogeneous(1), router="round_robin")
+        fleet.serve_stream(draw())
+        assert _per_query(fleet.last_offered) == expected
 
     @pytest.mark.parametrize("policy", ["veltair_full", "layerwise"])
     def test_report_equals_single_node(self, light_stack, policy):
@@ -458,6 +549,35 @@ class TestOneNodeFleet:
                                  router="round_robin", **search)
         assert node.report.satisfaction_rate >= 0.95  # a real pass
         assert fleet.qps == node.qps
+
+
+@pytest.fixture(scope="module")
+def chain_stack():
+    """The ``vision_pipeline`` chain's two models, small search budgets."""
+    return ServingStack(models=["ssd_resnet34", "resnet50"], trials=64,
+                        proxy_scenarios=60, seed=11)
+
+
+class TestCausalFleet:
+    """Hand-offs made mid-advance reach the fleet at their own instant."""
+
+    def test_pipeline_stages_start_at_handoff(self, chain_stack):
+        stream = get_scenario("vision_pipeline").stream(
+            chain_stack.compiled, qps=2.0, count=60, seed=1)
+        Cluster(chain_stack, homogeneous(2), router="pressure_aware") \
+            .serve_stream(stream, offered_qps=2.0)
+        waits = []
+        for pipeline in stream.pipelines:
+            assert pipeline.done and not pipeline.failed
+            for upstream, stage in zip(pipeline.stages,
+                                       pipeline.stages[1:]):
+                assert stage.arrival_s == upstream.finished_s
+                assert stage.started_s >= stage.arrival_s
+            stage1 = pipeline.stages[1]
+            waits.append(stage1.started_s - stage1.arrival_s)
+        # At 2 QPS the fleet is nearly idle between chains: a stage-1
+        # query starts the instant its hand-off lands.
+        assert sorted(waits)[len(waits) // 2] == 0.0
 
 
 def _sweep_point(stack, kind: str, seed: int, scenario=None):

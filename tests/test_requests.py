@@ -54,6 +54,11 @@ def _chain_scenario() -> ScenarioSpec:
                               stages=("mobilenet_v2", "googlenet")))
 
 
+def _one_node(stack) -> Cluster:
+    """The single-node stream driver: a one-node round-robin fleet."""
+    return Cluster(stack, homogeneous(1), router="round_robin")
+
+
 def _guarded(stack) -> Cluster:
     return Cluster(stack, homogeneous(1),
                    admission=AdmissionPolicy(max_outstanding_per_core=0.05,
@@ -95,10 +100,11 @@ class TestBatchPolicy:
         stream = RequestStream(
             queries=scenario_queries(light_stack.compiled, "poisson", 60.0, 40,
                                      seed=13, spec=_MIX))
-        outcome = light_stack.run_stream("veltair_full", stream)
+        cluster = _one_node(light_stack)
+        cluster.serve_stream(stream)
         key = lambda qs: [(q.query_id, q.finished_s, q.core_seconds,
                            q.blocks) for q in qs]
-        assert key(outcome.completed) == key(legacy)
+        assert key(cluster.last_nodes[0].engine.completed) == key(legacy)
 
     def test_fusion_and_member_attribution(self, light_stack):
         queries = scenario_queries(light_stack.compiled, "poisson", 2000.0, 32,
@@ -183,10 +189,12 @@ class TestPipelines:
         # Later stages are unscheduled until hand-off.
         for pipeline in stream.pipelines:
             assert math.isnan(pipeline.stages[1].arrival_s)
-        outcome = light_stack.run_stream("veltair_full", stream)
-        assert len(outcome.completed) == 12  # both stages of every chain
-        assert len(outcome.issued) == 12
-        for pipeline in outcome.pipelines:
+        cluster = _one_node(light_stack)
+        cluster.serve_stream(stream)
+        # Both stages of every chain.
+        assert len(cluster.last_nodes[0].engine.completed) == 12
+        assert len(cluster.last_offered) == 12
+        for pipeline in stream.pipelines:
             assert pipeline.done and not pipeline.failed
             stage0, stage1 = pipeline.stages
             # Stage k+1 was submitted the instant stage k completed.
@@ -300,8 +308,9 @@ class TestTraceRoundTrip:
     def test_pipeline_record_replay(self, light_stack, tmp_path):
         stream = _chain_scenario().stream(light_stack.compiled, qps=30.0,
                                           count=5, seed=3)
-        outcome = light_stack.run_stream("veltair_full", stream)
-        trace = record_trace(outcome.issued, name="chain-trace")
+        cluster = _one_node(light_stack)
+        cluster.serve_stream(stream)
+        trace = record_trace(cluster.last_offered, name="chain-trace")
         assert len(trace.entries) == 10  # both stages, realized arrivals
         loaded = ArrivalTrace.load(trace.save(tmp_path / "chain.json"))
         replayed = loaded.replay(light_stack.compiled)
