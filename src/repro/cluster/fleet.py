@@ -74,6 +74,8 @@ from repro.serving.workload import WorkloadSpec, scenario_queries
 _OFFER = "offer"
 _TICK = "tick"
 _JOIN = "join"
+#: Next-event time of an idle or retired node.
+_IDLE = float("inf")
 
 
 class ClusterNode:
@@ -228,15 +230,15 @@ class Cluster:
             raise ValueError("cannot serve an empty stream")
         run = _ServeRun(self, queries, tracer, stream)
         handlers = {_OFFER: run.offer, _TICK: run.tick, _JOIN: run.join}
-        events = run.events
+        events, next_at = run.events, run.next_at
         while True:
-            due_s, due = run.next_engine_event()
-            if events and (not due or events[0][0] < due_s):
+            due_s = min(next_at)
+            if events and events[0][0] < due_s:
                 now, _, kind, payload = heapq.heappop(events)
                 run.advance(now)
                 handlers[kind](now, payload)
-            elif due:
-                run.step(due_s, due)
+            elif due_s < _IDLE:
+                run.step(due_s)
             else:
                 break
         self.last_nodes = run.all_nodes
@@ -304,6 +306,10 @@ class _ServeRun:
         #: Every node ever provisioned, in provision order (ascending
         #: ``index``); membership state lives on the nodes.
         self.all_nodes = list(nodes)
+        #: Each node's next engine-event time, by node index.  Only a
+        #: step or a submit changes an engine's next event, so only
+        #: those refresh it; retired nodes stay at ``_IDLE``.
+        self.next_at = [_IDLE] * len(nodes)
         #: The routing set: live nodes, ascending index (provisioned
         #: nodes join strictly after every earlier join).
         self.routable = list(nodes)
@@ -341,28 +347,24 @@ class _ServeRun:
     # ------------------------------------------------------------------
     # engine events
 
-    def next_engine_event(self) -> tuple[float | None, list[ClusterNode]]:
-        """The earliest engine event time and the nodes due at it."""
-        due_s = None
-        due: list[ClusterNode] = []
-        for node in self.all_nodes:
-            if node.state == RETIRED:
-                continue
-            at = node.engine.next_event_s()
-            if at is None or (due_s is not None and at > due_s):
-                continue
-            if due_s is None or at < due_s:
-                due_s = at
-                due = [node]
-            else:
-                due.append(node)
-        return due_s, due
+    def refresh(self, node: ClusterNode) -> None:
+        """Re-read a node's next engine-event time after it changed."""
+        at = node.engine.next_event_s()
+        self.next_at[node.index] = _IDLE if at is None else at
 
-    def step(self, now: float, due: list[ClusterNode]) -> None:
-        """Run the engines due at ``now`` — and only those — to ``now``."""
-        for node in due:
-            node.engine.run_until(now)
-        self.retire_drained()
+    def step(self, now: float) -> None:
+        """Run the engines due at ``now`` — and only those — to ``now``.
+
+        Only a stepped node can empty, so a draining node retires here,
+        and retirements land in time order like every other event.
+        """
+        next_at = self.next_at
+        for node in self.all_nodes:
+            if next_at[node.index] == now:
+                node.engine.run_until(now)
+                self.refresh(node)
+                if node.state == DRAINING and node.engine.outstanding == 0:
+                    self.retire(node)
 
     def handoff(self, engine: Engine, query: Query) -> None:
         """Completion hook: pipeline hand-off + closed-loop issue.
@@ -401,9 +403,9 @@ class _ServeRun:
         """Bank every active node's progress up to a serve event.
 
         No engine event is due at or before ``now`` (the loop steps
-        those first), so this only refreshes the state routers observe;
-        once per distinct instant, as re-offers and simultaneous
-        arrivals share it.
+        those first), so this only banks the progress routers observe
+        and leaves :attr:`next_at` intact; once per distinct instant,
+        as re-offers and simultaneous arrivals share it.
         """
         if now > self.last_advance:
             for node in self.all_nodes:
@@ -440,9 +442,7 @@ class _ServeRun:
                          qid=query.query_id, args=args)
         node.engine.submit(query, at=now)
         node.assigned += 1
-        # Process the arrival at its own instant so the next offer at
-        # the same timestamp routes on fresh node state.
-        node.engine.run_until(now)
+        self.refresh(node)
 
     def reject(self, now: float, attempts: int, query: Query) -> None:
         """Account a shed offer: it fails its pipeline or frees a slot."""
@@ -466,8 +466,13 @@ class _ServeRun:
                          qid=owner.pipeline_id, args={"stage": query.stage})
 
     def tick(self, now: float, _payload) -> None:
-        """One autoscale control tick; re-armed while offers are pending."""
-        if self.pending <= 0:
+        """One autoscale control tick; re-armed while work may arrive.
+
+        Work may arrive while offers are pending, a pipeline is in
+        flight, or a closed-loop tenant has requests left to issue.
+        """
+        if (self.pending <= 0 and not self.stage_owner
+                and not any(t.remaining for t in self.tenants.values())):
             return
         scaler, policy = self.scaler, self.cluster.autoscale
         for node in self.all_nodes:
@@ -529,39 +534,20 @@ class _ServeRun:
         node.state = WARMING
         node.provisioned_s = now
         self.all_nodes.append(node)
+        self.next_at.append(_IDLE)
         return node
 
-    @staticmethod
-    def retire_time(node: ClusterNode) -> float:
-        """When a drained node actually emptied: its last finish."""
-        completed = node.engine.completed
-        finish = completed[-1].finished_s if completed else None
-        retired = node.drain_started_s
-        if finish is not None and finish > retired:
-            retired = finish
-        return retired
-
     def retire(self, node: ClusterNode) -> None:
-        """Mark a drained node retired at its actual last-finish time."""
-        node.retired_s = self.retire_time(node)
+        """Mark an emptied draining node retired at its last finish."""
+        completed = node.engine.completed
+        node.retired_s = node.drain_started_s
+        if completed and completed[-1].finished_s > node.retired_s:
+            node.retired_s = completed[-1].finished_s
         node.state = RETIRED
+        self.next_at[node.index] = _IDLE
         self.timeline.append(ScalingEvent(
             time_s=node.retired_s, action=RETIRE, node=node.spec.name,
             live_nodes=len(self.routable)))
-
-    def retire_drained(self) -> None:
-        """Retire every emptied draining node, in retire-time order.
-
-        Concurrently draining nodes empty at their own last-finish
-        instants; retiring them in node-index order would stamp the
-        timeline out of chronological order.
-        """
-        emptied = [node for node in self.all_nodes
-                   if node.state == DRAINING
-                   and node.engine.outstanding == 0]
-        emptied.sort(key=lambda node: (self.retire_time(node), node.index))
-        for node in emptied:
-            self.retire(node)
 
     # ------------------------------------------------------------------
 

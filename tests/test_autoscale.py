@@ -21,6 +21,7 @@ from repro.cluster import (
 from repro.hardware.platform import THREADRIPPER_3990X
 from repro.serving.server import ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.workloads import ClosedLoopSpec, PipelineSpec, ScenarioSpec
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -297,6 +298,40 @@ class TestAutoscaleServe:
         assert any(e.action == PROVISION
                    for e in report.scaling_timeline)
         assert light_stack.artifact_builds == builds_before == 1
+
+
+class TestAutoscaleRequestStreams:
+    """The control plane keeps ticking while a request stream can still
+    issue work, not only while seeded offers are pending: hand-offs and
+    zero-think follow-ups are offered at their completion instant, before
+    a tick at that instant."""
+
+    @pytest.mark.parametrize("scenario,qps", [
+        (ScenarioSpec(name="loop-no-think", workload=MIX,
+                      closed_loop=ClosedLoopSpec(tenants=3, concurrency=2,
+                                                 think_s=0.0)), 0.0),
+        # Past one node's knee: the last hand-offs trail the last
+        # stage-0 arrival by more than a tick.
+        (ScenarioSpec(name="chain",
+                      pipeline=PipelineSpec(
+                          name="mn-gn", stages=("mobilenet_v2",
+                                                "googlenet"))), 1000.0),
+    ], ids=["closed-loop", "pipeline"])
+    def test_ticks_span_the_stream(self, light_stack, scenario, qps):
+        policy = fast_policy(min_nodes=1, max_nodes=3)
+        stream = scenario.stream(light_stack.compiled, qps=qps,
+                                 count=120, seed=5)
+        cluster = Cluster(light_stack, homogeneous(1),
+                          router="pressure_aware", autoscale=policy)
+        cluster.serve_stream(stream)
+        start = min(q.arrival_s for q in cluster.last_offered)
+        last = max(q.arrival_s for q in cluster.last_offered)
+        assert last - start > 5 * policy.tick_s
+        times = [s.time_s for s in cluster.last_autoscale.signals]
+        # One signal per tick, every tick up to the last offer.
+        assert times == pytest.approx(
+            [start + (k + 1) * policy.tick_s for k in range(len(times))])
+        assert times[-1] > last - policy.tick_s
 
 
 class TestPlanCacheBound:
