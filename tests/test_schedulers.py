@@ -1,8 +1,14 @@
 """Policy tests: each scheduler's defining behaviour on small streams."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.runtime.engine import Engine
+from repro.serving.server import POLICIES
+from repro.telemetry import Tracer
 from repro.serving.workload import scenario_queries, single_model
 from repro.serving.metrics import summarize
 from repro.scheduling.dynamic_block import ProportionalThresholdPolicy
@@ -215,3 +221,103 @@ def queries_copy(queries, stack):
     from repro.runtime.tasks import Query
     return [Query(query_id=q.query_id, model=q.model,
                   arrival_s=q.arrival_s, qos_s=q.qos_s) for q in queries]
+
+
+
+@pytest.fixture(scope="module")
+def pin_stack():
+    """``light_stack``'s twin with a known cost-model memo history.
+
+    The cost model memoises breakdowns under a rounded interference key
+    but stores the value computed at the first caller's exact pressure,
+    so its contents depend on what ran before.  Fitting the proxy and
+    every pinned run start from an emptied memo, which makes the digests
+    independent of test order and of a warm artifact store.
+    """
+    from repro.serving.server import ServingStack
+    stack = ServingStack(models=["mobilenet_v2", "googlenet"], trials=96,
+                         proxy_scenarios=60, seed=11)
+    for name in stack.model_names:
+        stack.profiles[name]
+    stack.cost_model._memo.clear()
+    assert stack.proxy is not None
+    return stack
+
+
+def _pin_run(stack, policy, tracer=None):
+    """One short unbatched mixed stream; (outcomes, engine metrics)."""
+    stack.cost_model._memo.clear()
+    queries = scenario_queries(stack.compiled, "poisson", 300, 60, seed=7,
+                               spec=_mix_spec())
+    engine = Engine(stack.cost_model, tracer=tracer)
+    done = engine.run(queries, stack.make_scheduler(policy))
+    outcomes = sorted((q.query_id, q.started_s, q.finished_s, q.conflicts,
+                       q.grows, q.blocks, q.core_seconds) for q in done)
+    return outcomes, dataclasses.asdict(engine.metrics)
+
+
+def _digest(payload) -> str:
+    # json renders floats with repr, which round-trips exactly.
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: sha256 of every policy's per-query outcomes and engine metrics on a
+#: fixed stream, and of its recorded trace on the same stream.  Any
+#: change to a scheduler's decisions or to what its dispatch events
+#: record moves a digest; refactors of the planners must not.
+_OUTCOME_PINS = {
+    "model_fcfs":
+        "3966f7c2bbfd3fe57b98ae0ae670fc1869593ab24b4e5516a6f0db27abc188be",
+    "layerwise":
+        "30a0b573c0c5d566b5dc387c791aec0b4958f4e5fb127aebacb339227a2ebf66",
+    "prema":
+        "6ffc6079b86c1bc8e20ed0c71123178276c0f7f7bf8d94cb25519d36d6fc4fbf",
+    "block6":
+        "40379c8750b20adf0602c4232b049c1b453c80058af832c31e176b157dcd0f07",
+    "block11":
+        "87b0c7224fa3e1dfbf5daaa1c8b66580af0de5791a11b20087a7f849f7e8b456",
+    "veltair_as":
+        "ad0ac93676f398e9817814ea3dda592f17f8cd0f0a39fae761d87b786457b466",
+    "veltair_ac":
+        "f59d6acc4bdb5e8d8cc1039257d584f94d909b8cf2de8d71ecfd9a67b2b496e6",
+    "veltair_full":
+        "1f059399ecd380ff5f985d6675be220284739bb43e502b1d963c0775352e8d2b",
+    "gacer":
+        "3359a996cd018178c3d8a1384ea15ae76355f344f66ff389fcf1e59f20ef0a40",
+}
+_TRACE_PINS = {
+    "model_fcfs":
+        "3916e9469005fc754a2c6ef80e7564e743f06be4057e0d845e17958599b90486",
+    "layerwise":
+        "ea35ef69a7d46574e132c962e74b6f9ded5164018b3f033fb1a53873095e4e95",
+    "prema":
+        "e18f839111a33f8b3874eb346a295bbadb67709680af263da9db40e36ee4248c",
+    "block6":
+        "54c477db381e40195e652b6db5df420e0ed0f27131f24749fed5a0126ea8a5d8",
+    "block11":
+        "12a234dfd706549d2647317954d96b76d5cc2370b1aaf6341e8373410d77dfc3",
+    "veltair_as":
+        "96483570e47c54e41cc68e235ccbb00936d1297874a63416bc5b5582a63f152e",
+    "veltair_ac":
+        "7e36dc9cd23d22789b2cf6defeb3f4fea44c37ab258be955eca06dd938300bd4",
+    "veltair_full":
+        "96b8e1b135e6a0d0938b61555f2b19feadaea0be6c2150d5d407e6ebf5d282e6",
+    "gacer":
+        "18bbcfd36c61b09fbf59a59cc86eb29d1227b840d3ac8053ae4a23a29f06c7d7",
+}
+
+
+class TestPolicyOutcomePins:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_outcomes_are_pinned(self, pin_stack, policy):
+        outcomes, metrics = _pin_run(pin_stack, policy)
+        assert len(outcomes) == 60
+        assert _digest([outcomes, metrics]) == _OUTCOME_PINS[policy]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_trace_is_pinned(self, pin_stack, policy):
+        tracer = Tracer()
+        _pin_run(pin_stack, policy, tracer=tracer)
+        records = [r.to_payload() for r in tracer.records]
+        assert _digest(records) == _TRACE_PINS[policy]
