@@ -28,10 +28,7 @@ QPS-with-95%-QoS evaluation lives in):
 
 The engine owns mechanics only (clock, events, core accounting, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
-through a single callback, :meth:`Scheduler.schedule`.  A policy may
-additionally implement ``on_pressure_change(engine)``, which the engine
-calls after any repricing round that changed at least one block — the
-hook for invalidating pressure-derived planning caches.
+through a single callback, :meth:`Scheduler.schedule`.
 
 Telemetry: pass ``tracer=`` (a :class:`repro.telemetry.Tracer` or a
 node-scoped view) to record block spans, per-query lifecycle spans, and
@@ -510,9 +507,6 @@ class Engine:
                     {"pressure": min(1.0, max(0.0, self._pressure_sum)),
                      "running": len(self.running),
                      "queued": self.queued})
-            hook = getattr(scheduler, "on_pressure_change", None)
-            if hook is not None:
-                hook(self)
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:

@@ -19,7 +19,7 @@ from repro.scheduling.layerwise import (
     LayerWiseScheduler,
 )
 from repro.scheduling.prema import PremaScheduler
-from repro.scheduling.veltair import VeltairScheduler
+from repro.scheduling.veltair import AdaptiveCompilation, VeltairScheduler
 
 __all__ = [
     "BlockPlan", "ModelProfile", "SpatialScheduler",
@@ -27,5 +27,5 @@ __all__ = [
     "DynamicBlockScheduler", "ProportionalThresholdPolicy",
     "ModelWiseFcfs", "FixedBlockScheduler", "GacerScheduler",
     "AdaptiveCompilationOnly", "LayerWiseScheduler",
-    "PremaScheduler", "VeltairScheduler",
+    "PremaScheduler", "AdaptiveCompilation", "VeltairScheduler",
 ]

@@ -13,15 +13,26 @@ and the code versions — which is exactly the design split of paper Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from dataclasses import dataclass
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
 from repro.compiler.schedule import Schedule
 from repro.models.layers import batched
 from repro.runtime.engine import Engine
+from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
+
+#: Default bound for every planning memo a scheduler holds: the
+#: block-plan memo (dynamic blocks key it on (model, start layer, cap,
+#: pressure), fixed strides on (model, start, stop, cap); fused batches
+#: append the batch size) and the per-layer adaptive requirement memo
+#: keyed (signature, version, budget, pressure).  Plumbed through
+#: :class:`~repro.serving.server.ServingStack` as ``plan_cache_entries``
+#: so one knob bounds the whole stack's schedulers.  Keyspace size only
+#: affects recompute frequency, never results (entries are deterministic
+#: functions of their keys).
+DEFAULT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,16 +54,22 @@ class ModelProfile:
     isolated_service_s: float = 0.0
 
 
-def build_profile(cost_model: CostModel,
-                  compiled: CompiledModel) -> ModelProfile:
-    """Profile a compiled model for scheduling (paper Sec. 4.2 inputs)."""
+def build_profile(cost_model: CostModel, compiled: CompiledModel,
+                  batch: int = 1) -> ModelProfile:
+    """Profile a compiled model for scheduling (paper Sec. 4.2 inputs).
+
+    ``batch > 1`` profiles fused batch-``batch`` execution (see
+    :func:`batch_profile`): every layer is provisioned at its batched
+    shape against a budget ``batch`` times the unit one.
+    """
     versions = tuple(entry.static_version() for entry in compiled.layers)
-    budgets = tuple(entry.qos_budget_s for entry in compiled.layers)
+    budgets = tuple(entry.qos_budget_s * batch for entry in compiled.layers)
     launch = cost_model.launch_s
     required = []
     durations = []
     for layer, version, budget in zip(compiled.graph.layers, versions,
                                       budgets):
+        layer = batched(layer, batch)
         # Provision slightly below the budget: running every layer exactly
         # at its budget edge leaves no room for queueing or interference
         # jitter, which no deployed allocator would do.
@@ -69,16 +86,14 @@ def build_profile(cost_model: CostModel,
     # demand of one in-flight query.
     total_time = sum(durations)
     weighted = sum(c * t for c, t in zip(required, durations))
-    avg_cores = max(1, round(weighted / total_time))
-
-    model_cores = _model_required_cores(cost_model, compiled, versions)
     return ModelProfile(
         compiled=compiled,
         static_versions=versions,
         layer_budgets_s=budgets,
         layer_required_cores=tuple(required),
-        avg_cores=avg_cores,
-        model_cores=model_cores,
+        avg_cores=max(1, round(weighted / total_time)),
+        model_cores=_model_required_cores(cost_model, compiled, versions,
+                                          batch=batch),
         isolated_service_s=total_time,
     )
 
@@ -130,42 +145,18 @@ def batch_profile(cost_model: CostModel, profile: ModelProfile,
     """
     if batch <= 1:
         return profile
-    compiled = profile.compiled
-    versions = profile.static_versions
-    launch = cost_model.launch_s
-    budgets = tuple(b * batch for b in profile.layer_budgets_s)
-    required = []
-    durations = []
-    for layer, version, budget in zip(compiled.graph.layers, versions,
-                                      budgets):
-        fat = batched(layer, batch)
-        cores = cost_model.required_cores(fat, version,
-                                          max(budget * 0.85 - launch, 1e-7))
-        if cores is None:
-            cores = cost_model.cpu.cores
-        required.append(cores)
-        durations.append(cost_model.latency(fat, version, cores, 0.0)
-                         + launch)
-    total_time = sum(durations)
-    weighted = sum(c * t for c, t in zip(required, durations))
-    return replace(
-        profile,
-        layer_budgets_s=budgets,
-        layer_required_cores=tuple(required),
-        avg_cores=max(1, round(weighted / total_time)),
-        model_cores=_model_required_cores(cost_model, compiled, versions,
-                                          batch=batch),
-        isolated_service_s=total_time,
-    )
+    return build_profile(cost_model, profile.compiled, batch)
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A policy's decision for one dispatch."""
+    """A policy's decision for one dispatch.
+
+    The driver grants ``min(desired_cores, free cores)``.
+    """
 
     stop_layer: int
     desired_cores: int
-    take_cores: int
     versions: tuple[Schedule, ...]
 
 
@@ -173,11 +164,18 @@ class SpatialScheduler:
     """Shared dispatch driver for spatial-multitasking policies.
 
     Subclasses implement :meth:`plan` — given a query and the engine
-    state, return a :class:`BlockPlan` or ``None`` to keep the query
-    queued.  The driver serves continuing queries before new arrivals
-    (a worker finishes its model before taking new work) and FCFS within
-    each queue, and optionally grows conflicted running blocks when cores
-    free up (the paper's conflict-recovery technique).
+    state (with at least one free core), return a :class:`BlockPlan` or
+    ``None`` to keep the query queued.  The driver serves continuing
+    queries before new arrivals (a worker finishes its model before
+    taking new work) and FCFS within each queue, and optionally grows
+    conflicted running blocks when cores free up (the paper's
+    conflict-recovery technique).
+
+    The planning hooks below are the static-compilation view: pressure
+    is ignored and every layer runs its isolation-best version at its
+    offline-profiled requirement.  The adaptive-compilation mixin
+    (:class:`repro.scheduling.veltair.AdaptiveCompilation`) overrides all
+    three, on top of any block granularity.
     """
 
     #: Policies that start under-allocated and grow later set this.
@@ -186,43 +184,47 @@ class SpatialScheduler:
     #: instead of starting under-allocated (continuation blocks always
     #: proceed — stalling mid-model wastes the work already done).
     admit_full_grant_only = False
-    #: A continuation block starts under-allocated only when it gets at
-    #: least this fraction of its demand (0 = always start on whatever is
-    #: free).  Single-layer units must keep crawling-and-growing — that is
-    #: the paper's measured conflict behaviour — so the default is off.
-    min_start_fraction = 0.0
     #: Conflicted blocks grow in chunks of at least this many cores (or
     #: the full deficit) — growing one core at a time re-prices the whole
     #: machine for no benefit.
     min_grow_cores = 2
+    #: Dispatch events record :meth:`planning_pressure` when set (the
+    #: pressure a dynamic-block plan is keyed on), else the engine's
+    #: planning-mode pressure.
+    traces_planning_pressure = False
 
     def __init__(self, cost_model: CostModel,
-                 profiles: dict[str, ModelProfile]) -> None:
+                 profiles: dict[str, ModelProfile],
+                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
+                 ) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
         #: Batch-scaled profile variants, built on first use per
         #: (model, batch) — fused batches are few and their sizes
         #: bounded by ``BatchPolicy.max_batch``, so this stays tiny.
         self._batch_profiles: dict[tuple[str, int], ModelProfile] = {}
-        #: Repricing rounds that actually changed a block's rate, as
-        #: reported by :meth:`on_pressure_change`.
-        self.pressure_changes = 0
+        #: The planning memos (see DEFAULT_PLAN_CACHE_ENTRIES): whole
+        #: block plans, and adaptive per-layer requirements.  Both are
+        #: bounded because their keyspace grows with the stream.
+        self._plan_cache = PricingCache(max_entries=plan_cache_entries)
+        self._required_cache = PricingCache(max_entries=plan_cache_entries)
 
     # -- policy hooks --------------------------------------------------------
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         raise NotImplementedError
 
-    def on_pressure_change(self, engine: Engine) -> None:
-        """Engine notification: a repricing round changed ≥ 1 block.
+    def planning_pressure(self, engine: Engine) -> float:
+        """Static versions are planned as if the machine were quiet."""
+        return 0.0
 
-        Called after the engine's incremental repricing pass whenever at
-        least one running block's quantized pressure moved.  Subclasses
-        that derive planning state from the pressure field override this
-        to invalidate those caches; the base implementation only counts
-        rounds (a cheap co-location-churn diagnostic).
-        """
-        self.pressure_changes += 1
+    def version_for(self, query: Query, index: int,
+                    pressure: float) -> Schedule:
+        return self.profile_for(query).static_versions[index]
+
+    def required_cores_for(self, profile: ModelProfile, index: int,
+                           version: Schedule, pressure: float) -> int:
+        return profile.layer_required_cores[index]
 
     def profile_for(self, query: Query) -> ModelProfile:
         try:
@@ -247,41 +249,38 @@ class SpatialScheduler:
         for queue in (engine.ready, engine.waiting):
             is_new_arrivals = queue is engine.waiting
             while queue:
-                if engine.allocator.available <= 0:
+                available = engine.allocator.available
+                if available <= 0:
                     return
                 plan = self.plan(engine, queue[0])
-                if plan is None or plan.take_cores <= 0:
+                if plan is None or plan.desired_cores <= 0:
                     break  # FCFS head-of-line wait
+                take = min(plan.desired_cores, available)
                 if (is_new_arrivals and self.admit_full_grant_only
-                        and plan.take_cores < plan.desired_cores):
+                        and take < plan.desired_cores):
                     break  # admission control: wait for the full grant
-                if (not is_new_arrivals
-                        and plan.take_cores < plan.desired_cores
-                        * self.min_start_fraction):
-                    break  # too few cores to be worth starting on
                 query = queue.popleft()
                 if engine.tracer is not None:
-                    self._trace_dispatch(engine, query, plan)
-                engine.start_block(query, plan.stop_layer, plan.take_cores,
+                    self._trace_dispatch(engine, query, plan, take)
+                engine.start_block(query, plan.stop_layer, take,
                                    plan.versions,
                                    desired_cores=plan.desired_cores)
 
     def _trace_dispatch(self, engine: Engine, query: Query,
-                        plan: BlockPlan) -> None:
+                        plan: BlockPlan, take: int) -> None:
         """Record one dispatch decision (tracing enabled only).
 
         Captures the plan (block boundary, demand vs grant, the picked
-        version's parallelism knob) and the pressure the policy planned
-        against — via ``planning_pressure`` when the policy maintains
-        one (a cached, side-effect-free read), else the engine's
-        planning-mode pressure.
+        version's parallelism knob) and a pressure: the one a dynamic-block
+        plan was keyed on (``traces_planning_pressure``; a side-effect-free
+        read), else the engine's planning-mode pressure.
         """
-        pressure_fn = getattr(self, "planning_pressure", None)
-        pressure = (pressure_fn(engine) if pressure_fn is not None
+        pressure = (self.planning_pressure(engine)
+                    if self.traces_planning_pressure
                     else engine.pressure(planning=True))
         args = {"stop_layer": plan.stop_layer,
                 "desired": plan.desired_cores,
-                "granted": plan.take_cores,
+                "granted": take,
                 "pressure": pressure,
                 "parallelism": (plan.versions[0].parallelism
                                 if plan.versions else 0)}
@@ -317,9 +316,10 @@ def block_required_cores(cost_model: CostModel, query: Query, start: int,
     """Minimal cores so the block finishes within ``budget_s``.
 
     Mirrors :meth:`CostModel.required_cores` at block granularity (spawn
-    and launch overheads included).  When the budget is infeasible the
-    cap (or machine size) is returned — the scheduler then runs the block
-    as fast as the cap allows.
+    and launch overheads included), never exceeding ``cap`` (default:
+    the machine size).  When no count up to the cap meets the budget,
+    the grid point with the lowest block latency is returned — the
+    scheduler then runs the block as fast as it can within the cap.
     """
     limit = cap if cap is not None else cost_model.cpu.cores
     limit = max(1, min(limit, cost_model.cpu.cores))

@@ -13,29 +13,21 @@ average demand.  Low load => large threshold => big grants and maximal
 resource-usage efficiency; high load => small threshold => demand is
 flattened toward the average and conflicts stay rare.
 
-This scheduler with static versions is the VELTAIR-AS configuration.
+This scheduler with static versions is the VELTAIR-AS configuration;
+with the adaptive-compilation mixin on top it is VELTAIR-FULL
+(:mod:`repro.scheduling.veltair`).
 """
 
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
 from repro.scheduling.base import (
+    DEFAULT_PLAN_CACHE_ENTRIES,
     BlockPlan,
-    ModelProfile,
     SpatialScheduler,
     block_required_cores,
 )
-
-#: Default bound for the planning memos: the dynamic-block whole-plan
-#: memo keyed (model, start layer, cap, pressure[, batch]), and the
-#: per-layer required-core memos keyed (signature, version, budget,
-#: pressure).  Plumbed through :class:`~repro.serving.server.ServingStack`
-#: as ``plan_cache_entries`` so one knob bounds the whole stack's
-#: schedulers.  Keyspace size only affects recompute frequency, never
-#: results (entries are deterministic functions of their keys).
-DEFAULT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
 class ProportionalThresholdPolicy:
@@ -82,41 +74,24 @@ class ProportionalThresholdPolicy:
 
 
 class DynamicBlockScheduler(SpatialScheduler):
-    """Adaptive layer blocks with static (isolation-best) code versions."""
+    """Alg. 2 layer blocks over the planning hooks (static: VELTAIR-AS)."""
 
     allow_grow = True
     admit_full_grant_only = True
+    traces_planning_pressure = True
+    #: Blocks target finishing *ahead* of their summed budget so that
+    #: interference jitter and queueing do not push queries over QoS;
+    #: the Avg_C + thres cap still bounds how many cores that may cost
+    #: (Alg. 2's "no more than Avg_C + thres").
+    budget_headroom = 0.8
 
     def __init__(self, cost_model, profiles,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
-                 budget_headroom: float = 0.8,
                  plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
                  ) -> None:
-        super().__init__(cost_model, profiles)
+        super().__init__(cost_model, profiles, plan_cache_entries)
         self.threshold_policy = (threshold_policy
                                  or ProportionalThresholdPolicy())
-        # Blocks target finishing *ahead* of their summed budget so that
-        # interference jitter and queueing do not push queries over QoS;
-        # the Avg_C + thres cap still bounds how many cores that may cost
-        # (Alg. 2's "no more than Avg_C + thres").
-        if not 0.0 < budget_headroom <= 1.0:
-            raise ValueError("budget_headroom must be in (0, 1]")
-        self.budget_headroom = budget_headroom
-        #: Whole-plan memo, see :meth:`plan`.
-        self._plan_cache = PricingCache(max_entries=plan_cache_entries)
-
-    # -- version/requirement hooks (overridden by the full scheduler) -----
-
-    def planning_pressure(self, engine: Engine) -> float:
-        """Static configuration ignores interference when planning."""
-        return 0.0
-
-    def version_for(self, query: Query, index: int, pressure: float):
-        return self.profile_for(query).static_versions[index]
-
-    def required_cores_for(self, profile: ModelProfile, index: int,
-                           version, pressure: float) -> int:
-        return profile.layer_required_cores[index]
 
     # -- Alg. 2 ----------------------------------------------------------------
 
@@ -151,9 +126,6 @@ class DynamicBlockScheduler(SpatialScheduler):
         slice of the profile.  A hit therefore skips the pivot walk, the
         version tuple and :func:`block_required_cores` altogether.
         """
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         profile = self.profile_for(query)
         pressure = self.planning_pressure(engine)
         threshold = self.threshold_policy.threshold_for(self, engine, query)
@@ -166,22 +138,15 @@ class DynamicBlockScheduler(SpatialScheduler):
             # Fused batches plan against batch-scaled profiles; a longer
             # tuple cannot collide with any unit-batch key.
             key = key + (query.batch,)
-        memo = self._plan_cache.get(key)
-        if memo is None:
+        plan = self._plan_cache.get(key)
+        if plan is None:
             stop = self.find_first_pivot(engine, query, cap, pressure)
             versions = tuple(self.version_for(query, i, pressure)
                              for i in range(start, stop))
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
-            desired = block_required_cores(
+            plan = BlockPlan(stop, block_required_cores(
                 self.cost_model, query, start, stop, versions, budget,
-                interference=pressure, cap=cap)
-            memo = (stop, versions, desired)
-            self._plan_cache.put(key, memo)
-        stop, versions, desired = memo
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+                interference=pressure, cap=cap), versions)
+            self._plan_cache.put(key, plan)
+        return plan

@@ -5,19 +5,21 @@ the minimal core grant meeting the sum of its layers' budgets.  Blocks
 smooth the core-demand spikes of layer-wise scheduling, but a *fixed*
 size can't fit every model/load combination — the motivation for the
 dynamic blocks of :mod:`repro.scheduling.dynamic_block`.
+
+The stride planner here is also GACER's (:mod:`repro.scheduling.gacer`),
+which varies the stride and the per-block cap with its concurrency.
 """
 
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
 from repro.scheduling.base import (
+    DEFAULT_PLAN_CACHE_ENTRIES,
     BlockPlan,
     SpatialScheduler,
     block_required_cores,
 )
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
 
 
 class FixedBlockScheduler(SpatialScheduler):
@@ -25,41 +27,48 @@ class FixedBlockScheduler(SpatialScheduler):
 
     allow_grow = True
     admit_full_grant_only = True
+    #: Fraction of the block's summed layer budgets its grant targets.
+    budget_headroom = 1.0
 
     def __init__(self, cost_model, profiles, block_size: int,
-                 plan_cache_entries: int | None = None) -> None:
+                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
+                 ) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
-        super().__init__(cost_model, profiles)
+        super().__init__(cost_model, profiles, plan_cache_entries)
         self.block_size = block_size
-        # Keyed on (model, start, stop) only — pressure-free static
-        # planning — so the keyspace is small; bounded anyway for the
-        # same reason as every planning memo (see dynamic_block).
-        self._required_cache = PricingCache(
-            max_entries=(plan_cache_entries if plan_cache_entries
-                         is not None else DEFAULT_PLAN_CACHE_ENTRIES))
+
+    @property
+    def block_layers(self) -> int:
+        """Layers per block (the stride)."""
+        return self.block_size
+
+    @property
+    def block_cap(self) -> int:
+        """Most cores one block may be granted."""
+        return self.cost_model.cpu.cores
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
-        profile = self.profile_for(query)
-        start = query.next_layer
-        stop = min(start + self.block_size, len(query.model.layers))
-        versions = profile.static_versions[start:stop]
+        """Static versions over ``[start, start + stride)``.
 
-        key = (query.model.name, start, stop)
+        The plan is memoised on ``(model, start, stop, cap)`` (plus the
+        batch size for fused batches): versions, budget and
+        :func:`block_required_cores` are pure functions of that key.
+        """
+        start = query.next_layer
+        stop = min(start + self.block_layers, len(query.model.layers))
+        cap = self.block_cap
+        key = (query.model.name, start, stop, cap)
         if query.batch > 1:
             key = key + (query.batch,)
-        desired = self._required_cache.get(key)
-        if desired is None:
-            budget = sum(profile.layer_budgets_s[start:stop])
-            desired = block_required_cores(
-                self.cost_model, query, start, stop, versions, budget)
-            self._required_cache.put(key, desired)
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            profile = self.profile_for(query)
+            versions = profile.static_versions[start:stop]
+            budget = (sum(profile.layer_budgets_s[start:stop])
+                      * self.budget_headroom)
+            plan = BlockPlan(stop, block_required_cores(
+                self.cost_model, query, start, stop, versions, budget,
+                cap=cap), versions)
+            self._plan_cache.put(key, plan)
+        return plan

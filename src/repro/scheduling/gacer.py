@@ -21,58 +21,50 @@ in fractions of the device's parallel width.
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import (
-    BlockPlan,
-    SpatialScheduler,
-    block_required_cores,
-)
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
+from repro.scheduling.base import DEFAULT_PLAN_CACHE_ENTRIES, BlockPlan
+from repro.scheduling.fixed_block import FixedBlockScheduler
 
 
-class GacerScheduler(SpatialScheduler):
-    """Concurrency-regulated blocks with throughput hill-climbing."""
+class GacerScheduler(FixedBlockScheduler):
+    """Concurrency-regulated stride blocks with throughput hill-climbing.
+
+    ``block_size`` is the stride at concurrency 1; the stride and the
+    per-block cap both shrink as the regulated concurrency grows.
+    """
 
     allow_grow = False
+    admit_full_grant_only = False
+    #: Grants stay slightly ahead of the deadline so that regulation,
+    #: not per-layer auctions, absorbs jitter.
+    budget_headroom = 0.8
+    min_concurrency = 1
+    #: Completions per hill-climbing measurement window.
+    window = 16
 
     def __init__(self, cost_model, profiles,
-                 min_concurrency: int = 1,
-                 max_concurrency: int | None = None,
-                 window: int = 16,
-                 coarse_block: int = 12,
-                 budget_headroom: float = 0.8,
-                 plan_cache_entries: int | None = None) -> None:
-        super().__init__(cost_model, profiles)
-        width = cost_model.cpu.cores
-        if max_concurrency is None:
-            # Enough co-runners to cover the machine without shredding
-            # grants below useful widths (≥ 8 units each).
-            max_concurrency = max(2, min(8, width // 8))
-        if min_concurrency < 1 or max_concurrency < min_concurrency:
-            raise ValueError("need 1 <= min_concurrency <= max_concurrency")
-        if window < 1:
-            raise ValueError("window must be >= 1 completions")
-        if not 0.0 < budget_headroom <= 1.0:
-            raise ValueError("budget_headroom must be in (0, 1]")
-        self.min_concurrency = min_concurrency
-        self.max_concurrency = max_concurrency
-        self.window = window
-        self.coarse_block = coarse_block
-        self.budget_headroom = budget_headroom
-        self.concurrency = min(max(2, min_concurrency), max_concurrency)
+                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
+                 ) -> None:
+        super().__init__(cost_model, profiles, block_size=12,
+                         plan_cache_entries=plan_cache_entries)
+        # Enough co-runners to cover the machine without shredding
+        # grants below useful widths (≥ 8 units each).
+        self.max_concurrency = max(2, min(8, cost_model.cpu.cores // 8))
+        self.concurrency = 2
         self._direction = 1
         self._last_completed = 0
         self._last_mark_s = 0.0
         self._last_rate: float | None = None
-        self._required_cache = PricingCache(
-            max_entries=(plan_cache_entries if plan_cache_entries
-                         is not None else DEFAULT_PLAN_CACHE_ENTRIES))
 
     @property
     def block_layers(self) -> int:
         """Granularity coupled to concurrency: fewer co-runners, coarser."""
-        return max(1, self.coarse_block // self.concurrency)
+        return max(1, self.block_size // self.concurrency)
+
+    @property
+    def block_cap(self) -> int:
+        """An even share of the machine per admitted co-runner."""
+        return max(1, self.cost_model.cpu.cores // self.concurrency)
 
     # -- the regulator -------------------------------------------------------
 
@@ -102,36 +94,8 @@ class GacerScheduler(SpatialScheduler):
     # -- planning ------------------------------------------------------------
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         self._regulate(engine)
         active = {block.query.query_id for block in engine.running.values()}
         if len(active) >= self.concurrency and query.query_id not in active:
             return None  # cap reached; wait for a slot
-        profile = self.profile_for(query)
-        start = query.next_layer
-        stop = min(start + self.block_layers, len(query.model.layers))
-        versions = profile.static_versions[start:stop]
-
-        # An even share of the machine per admitted co-runner; the
-        # budget headroom keeps the grant slightly ahead of the deadline
-        # so regulation, not per-layer auctions, absorbs jitter.
-        cap = max(1, self.cost_model.cpu.cores // self.concurrency)
-        key = (query.model.name, start, stop, self.concurrency)
-        if query.batch > 1:
-            key = key + (query.batch,)
-        desired = self._required_cache.get(key)
-        if desired is None:
-            budget = (sum(profile.layer_budgets_s[start:stop])
-                      * self.budget_headroom)
-            desired = block_required_cores(
-                self.cost_model, query, start, stop, versions, budget,
-                cap=cap)
-            self._required_cache.put(key, desired)
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+        return super().plan(engine, query)

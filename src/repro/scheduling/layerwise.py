@@ -13,35 +13,27 @@ selects interference-matched versions but still schedules layer by layer.
 
 from __future__ import annotations
 
-from repro.interference.proxy import estimate_system_pressure
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
+from repro.scheduling.base import BlockPlan, SpatialScheduler
+from repro.scheduling.veltair import AdaptiveCompilation
 
 
 class LayerWiseScheduler(SpatialScheduler):
-    """One layer per scheduling unit, static (isolation-best) versions."""
+    """One layer per scheduling unit, versions from the planning hooks."""
 
     allow_grow = True
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         profile = self.profile_for(query)
         index = query.next_layer
-        desired = profile.layer_required_cores[index]
-        return BlockPlan(
-            stop_layer=index + 1,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=(profile.static_versions[index],),
-        )
+        pressure = self.planning_pressure(engine)
+        version = self.version_for(query, index, pressure)
+        desired = self.required_cores_for(profile, index, version, pressure)
+        return BlockPlan(index + 1, desired, (version,))
 
 
-class AdaptiveCompilationOnly(LayerWiseScheduler):
+class AdaptiveCompilationOnly(AdaptiveCompilation, LayerWiseScheduler):
     """VELTAIR-AC: adaptive version selection at layer granularity.
 
     Versions are matched to the current planning pressure, but without
@@ -50,53 +42,3 @@ class AdaptiveCompilationOnly(LayerWiseScheduler):
     """
 
     admit_full_grant_only = True
-
-    def __init__(self, cost_model, profiles, proxy=None,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
-        super().__init__(cost_model, profiles)
-        self.proxy = proxy
-        # Bounded like every planning memo (see DynamicBlockScheduler):
-        # the keyspace grows with the stream, the cache must not.
-        self._required_cache = PricingCache(
-            max_entries=plan_cache_entries)
-
-    def interference_estimate(self, engine: Engine) -> float:
-        return estimate_system_pressure(engine, self.proxy)
-
-    def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
-        profile = self.profile_for(query)
-        index = query.next_layer
-        # Quantize with the engine's pricing quantum (not a hard-coded
-        # rounding): finer keys than pricing resolves only fragment the
-        # version/core-requirement caches.
-        pressure = engine.quantize_pressure(
-            self.interference_estimate(engine))
-        entry = query.model.layers[index]
-        version = entry.version_for(pressure)
-        desired = self._required_cores(profile, index, version, pressure)
-        return BlockPlan(
-            stop_layer=index + 1,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=(version,),
-        )
-
-    def _required_cores(self, profile: ModelProfile, index: int, version,
-                        pressure: float) -> int:
-        layer = profile.compiled.graph.layers[index]
-        key = (layer.signature, version, profile.layer_budgets_s[index],
-               pressure)
-        cached = self._required_cache.get(key)
-        if cached is None:
-            launch = self.cost_model.launch_s
-            budget = max(profile.layer_budgets_s[index] - launch, 1e-7)
-            cached = self.cost_model.required_cores(layer, version, budget,
-                                                    pressure)
-            if cached is None:
-                cached = self.cost_model.cpu.cores
-            self._required_cache.put(key, cached)
-        return cached

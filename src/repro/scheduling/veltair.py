@@ -1,49 +1,42 @@
-"""The full VELTAIR runtime scheduler — paper Alg. 3.
+"""Adaptive compilation (paper Alg. 3) and the full VELTAIR scheduler.
 
-Dynamic layer blocks (Alg. 2, inherited) combined with adaptive code
-version selection: at every dispatch the scheduler estimates the system
-interference pressure — through the linear performance-counter proxy of
-Sec. 4.3, or directly from the simulator state in oracle mode — ignores
-soon-to-finish blocks, picks each layer's version for that pressure
-level, and sizes the block's core grant with the interference-adjusted
-requirements.
+Adaptive compilation is one mixin over any block granularity: at every
+dispatch the scheduler estimates the system interference pressure —
+through the linear performance-counter proxy of Sec. 4.3, or directly
+from the simulator state in oracle mode — ignores soon-to-finish blocks,
+picks each layer's version for that pressure level, and sizes grants
+with the interference-adjusted requirements.  On the dynamic layer
+blocks of Alg. 2 it is VELTAIR-FULL (:class:`VeltairScheduler`); on
+single layers it is the VELTAIR-AC ablation
+(:class:`~repro.scheduling.layerwise.AdaptiveCompilationOnly`).
 """
 
 from __future__ import annotations
 
+from repro.compiler.schedule import Schedule
 from repro.interference.proxy import (
     LinearInterferenceProxy,
     estimate_system_pressure,
 )
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
 from repro.scheduling.base import ModelProfile
-from repro.scheduling.dynamic_block import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
-    DynamicBlockScheduler,
-    ProportionalThresholdPolicy,
-)
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 
 
-class VeltairScheduler(DynamicBlockScheduler):
-    """Adaptive scheduling + adaptive compilation (VELTAIR-FULL)."""
+class AdaptiveCompilation:
+    """Planning hooks for interference-matched code versions.
+
+    Mix in ahead of a :class:`~repro.scheduling.base.SpatialScheduler`
+    subclass; its planner then reads these hooks instead of the static
+    ones.  ``proxy=None`` estimates pressure in oracle mode.
+    """
 
     def __init__(self, cost_model, profiles,
                  proxy: LinearInterferenceProxy | None = None,
-                 threshold_policy: ProportionalThresholdPolicy | None = None,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
-        super().__init__(cost_model, profiles,
-                         threshold_policy=threshold_policy,
-                         plan_cache_entries=plan_cache_entries)
+                 **kwargs) -> None:
+        super().__init__(cost_model, profiles, **kwargs)
         self.proxy = proxy
-        # Per-layer requirements keyed (signature, version, budget,
-        # pressure), read only by the pivot walk of a whole-plan miss.
-        # Size-bounded by the same knob as the plan memo: eviction only
-        # costs a deterministic recompute, so results are unchanged.
-        self._required_cache = PricingCache(
-            max_entries=plan_cache_entries)
 
     def planning_pressure(self, engine: Engine) -> float:
         """Current interference estimate, quantised for cache reuse.
@@ -58,11 +51,17 @@ class VeltairScheduler(DynamicBlockScheduler):
         estimate = estimate_system_pressure(engine, self.proxy)
         return engine.quantize_pressure(estimate)
 
-    def version_for(self, query: Query, index: int, pressure: float):
+    def version_for(self, query: Query, index: int,
+                    pressure: float) -> Schedule:
         return query.model.layers[index].version_for(pressure)
 
     def required_cores_for(self, profile: ModelProfile, index: int,
-                           version, pressure: float) -> int:
+                           version: Schedule, pressure: float) -> int:
+        """Minimal cores for one layer to meet its budget under pressure.
+
+        Memoised on (signature, version, budget, pressure): the value is
+        a pure function of that key.
+        """
         layer = profile.compiled.graph.layers[index]
         key = (layer.signature, version,
                profile.layer_budgets_s[index], pressure)
@@ -76,3 +75,7 @@ class VeltairScheduler(DynamicBlockScheduler):
                 cached = self.cost_model.cpu.cores
             self._required_cache.put(key, cached)
         return cached
+
+
+class VeltairScheduler(AdaptiveCompilation, DynamicBlockScheduler):
+    """Adaptive scheduling + adaptive compilation (VELTAIR-FULL)."""

@@ -11,9 +11,9 @@ simulations stay independent.  Policies are addressed by name:
 ``prema``                 PREMA-style temporal multitasking baseline
 ``block6`` / ``block11``  static layer blocks (granularity study)
 ``veltair_as``            adaptive scheduling only (dynamic blocks)
-``veltair_ac``            adaptive compilation only (layer-wise units)
-``veltair_full``          full VELTAIR (Alg. 3)
-``gacer``                 GACER-style granularity-aware concurrency regulation
+``veltair_ac``            adaptive compilation mixin on layer-wise units
+``veltair_full``          full VELTAIR (Alg. 3): the mixin on dynamic blocks
+``gacer``                 GACER-style concurrency regulation over block strides
 ========================  ====================================================
 """
 
@@ -39,11 +39,12 @@ from repro.models.registry import get_entry, get_model, model_names
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import ModelProfile, build_profile
-from repro.scheduling.dynamic_block import (
+from repro.scheduling.base import (
     DEFAULT_PLAN_CACHE_ENTRIES,
-    DynamicBlockScheduler,
+    ModelProfile,
+    build_profile,
 )
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 from repro.scheduling.fcfs_model import ModelWiseFcfs
 from repro.scheduling.fixed_block import FixedBlockScheduler
 from repro.scheduling.gacer import GacerScheduler
@@ -73,23 +74,18 @@ class NodeRuntime:
     bound to one cost model), and the interference proxy (counter
     magnitudes do not port across specs).  Nodes with the same
     :class:`DeviceSpec` share one runtime, so a homogeneous fleet shares
-    a single warm pricing cache.  The field keeps its historical ``cpu``
-    name; ``device`` is the kind-neutral alias.
+    a single warm pricing cache.
     """
 
-    cpu: CpuSpec | DeviceSpec
+    device: CpuSpec | DeviceSpec
     cost_model: CostModel
     price_cache: PricingCache
     profiles: dict[str, ModelProfile]
     proxy: LinearInterferenceProxy | None
 
     @property
-    def device(self) -> CpuSpec | DeviceSpec:
-        return self.cpu
-
-    @property
     def device_kind(self) -> str:
-        return getattr(self.cpu, "kind", "cpu")
+        return getattr(self.device, "kind", "cpu")
 
 
 class _LazyArtifacts(Mapping):
@@ -279,7 +275,8 @@ class ServingStack:
         if runtime is not None:
             return runtime
         if cpu == self.cpu:
-            runtime = NodeRuntime(cpu=self.cpu, cost_model=self.cost_model,
+            runtime = NodeRuntime(device=self.cpu,
+                                  cost_model=self.cost_model,
                                   price_cache=self.price_cache,
                                   profiles=self.profiles, proxy=self.proxy)
         else:
@@ -287,7 +284,7 @@ class ServingStack:
             profiles = {name: build_profile(cost_model, compiled)
                         for name, compiled in self.compiled.items()}
             runtime = NodeRuntime(
-                cpu=cpu, cost_model=cost_model,
+                device=cpu, cost_model=cost_model,
                 price_cache=PricingCache(
                     max_entries=self.price_cache.max_entries),
                 profiles=profiles,

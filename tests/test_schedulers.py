@@ -122,13 +122,6 @@ class TestDynamicBlocks:
         assert plan.desired_cores <= resnet_stack.cpu.cores
         assert plan.desired_cores >= 1
 
-    def test_headroom_validation(self, resnet_stack):
-        from repro.scheduling.dynamic_block import DynamicBlockScheduler
-        with pytest.raises(ValueError):
-            DynamicBlockScheduler(resnet_stack.cost_model,
-                                  resnet_stack.profiles,
-                                  budget_headroom=0.0)
-
 
 class TestVeltairFull:
     def test_uses_proxy_estimate(self, resnet_stack):
