@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
 from repro.compiler.schedule import Schedule
-from repro.models.layers import batched
+from repro.models.layers import LayerSpec, batched
 from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
@@ -40,6 +40,9 @@ class ModelProfile:
     """Offline profile of one compiled model (static-version view)."""
 
     compiled: CompiledModel
+    #: The layer shapes provisioned: the compiled graph's layers, batched
+    #: for a fused-batch profile.
+    layers: tuple[LayerSpec, ...]
     static_versions: tuple[Schedule, ...]
     layer_budgets_s: tuple[float, ...]
     #: Minimal cores for each layer to meet its budget, in isolation.
@@ -62,14 +65,13 @@ def build_profile(cost_model: CostModel, compiled: CompiledModel,
     :func:`batch_profile`): every layer is provisioned at its batched
     shape against a budget ``batch`` times the unit one.
     """
+    layers = tuple(batched(layer, batch) for layer in compiled.graph.layers)
     versions = tuple(entry.static_version() for entry in compiled.layers)
     budgets = tuple(entry.qos_budget_s * batch for entry in compiled.layers)
     launch = cost_model.launch_s
     required = []
     durations = []
-    for layer, version, budget in zip(compiled.graph.layers, versions,
-                                      budgets):
-        layer = batched(layer, batch)
+    for layer, version, budget in zip(layers, versions, budgets):
         # Provision slightly below the budget: running every layer exactly
         # at its budget edge leaves no room for queueing or interference
         # jitter, which no deployed allocator would do.
@@ -88,25 +90,25 @@ def build_profile(cost_model: CostModel, compiled: CompiledModel,
     weighted = sum(c * t for c, t in zip(required, durations))
     return ModelProfile(
         compiled=compiled,
+        layers=layers,
         static_versions=versions,
         layer_budgets_s=budgets,
         layer_required_cores=tuple(required),
         avg_cores=max(1, round(weighted / total_time)),
-        model_cores=_model_required_cores(cost_model, compiled, versions,
-                                          batch=batch),
+        # Align with the layer-budget margin; a batch-B unit owns B
+        # queries' worth of the deadline.
+        model_cores=_model_required_cores(cost_model, layers, versions,
+                                          compiled.qos_s * 0.85 * batch),
         isolated_service_s=total_time,
     )
 
 
-def _model_required_cores(cost_model: CostModel, compiled: CompiledModel,
+def _model_required_cores(cost_model: CostModel,
+                          layers: tuple[LayerSpec, ...],
                           versions: tuple[Schedule, ...],
-                          batch: int = 1) -> int:
-    """Minimal fixed core count for the whole model to meet its QoS."""
+                          target: float) -> int:
+    """Minimal fixed core count for the whole model to finish by ``target``."""
     launch = cost_model.launch_s
-    # Align with the layer-budget margin; a batch-B unit owns B queries'
-    # worth of the deadline (see batch_profile).
-    target = compiled.qos_s * 0.85 * batch
-    layers = [batched(layer, batch) for layer in compiled.graph.layers]
 
     def model_latency(cores: int) -> float:
         total = cost_model.spawn_overhead(cores)

@@ -59,10 +59,11 @@ class AdaptiveCompilation:
                            version: Schedule, pressure: float) -> int:
         """Minimal cores for one layer to meet its budget under pressure.
 
-        Memoised on (signature, version, budget, pressure): the value is
-        a pure function of that key.
+        The layer is the profile's own (batched for a fused batch, whose
+        budgets are batch-scaled).  Memoised on (signature, version,
+        budget, pressure): the value is a pure function of that key.
         """
-        layer = profile.compiled.graph.layers[index]
+        layer = profile.layers[index]
         key = (layer.signature, version,
                profile.layer_budgets_s[index], pressure)
         cached = self._required_cache.get(key)

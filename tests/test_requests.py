@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro.cluster import AdmissionPolicy, Cluster, homogeneous
+from repro.models.layers import batched
 from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
 from repro.runtime.engine import BatchPolicy
@@ -382,3 +383,35 @@ class TestBatchProfiles:
         assert first is not scheduler.profile_for(unit)
         assert first.layer_budgets_s[0] == \
             4 * scheduler.profile_for(unit).layer_budgets_s[0]
+
+    @pytest.mark.parametrize("policy", ["veltair_ac", "veltair_full"])
+    def test_adaptive_requirement_sizes_the_batched_layer(self, light_stack,
+                                                          policy):
+        """A fused batch's per-layer requirement is the batched layer's.
+
+        Its budgets are ``batch`` times the unit ones, so sizing the
+        unbatched layer against them under-provisions every layer.
+        """
+        scheduler = light_stack.make_scheduler(policy)
+        cost_model = light_stack.cost_model
+        compiled = light_stack.compiled["mobilenet_v2"]
+        fused = Query(query_id=1, model=compiled, arrival_s=0.0,
+                      qos_s=get_entry("mobilenet_v2").qos_s, batch=4)
+        profile = scheduler.profile_for(fused)
+        pressure = 0.3
+        resized = 0
+        for index, layer in enumerate(compiled.graph.layers):
+            version = scheduler.version_for(fused, index, pressure)
+            budget = max(profile.layer_budgets_s[index]
+                         - cost_model.launch_s, 1e-7)
+
+            def need(shape):
+                cores = cost_model.required_cores(shape, version, budget,
+                                                  pressure)
+                return cores if cores is not None else cost_model.cpu.cores
+
+            expected = need(batched(layer, 4))
+            assert scheduler.required_cores_for(
+                profile, index, version, pressure) == expected
+            resized += expected != need(layer)
+        assert resized > len(compiled.graph.layers) // 2
