@@ -119,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     print(header)
     print("-" * len(header))
     capacities: dict[str, float] = {}
+    results = {}
     for router in CAPACITY_ROUTERS:
         t0 = time.perf_counter()
         result = cluster_capacity(
@@ -126,9 +127,11 @@ def main(argv: list[str] | None = None) -> int:
             low_qps=10.0, high_qps=800.0, tolerance_qps=tolerance,
             seed=args.seed, workers=args.workers)
         capacities[router] = result.qps
+        results[router] = result
         report = result.report
         note = _bracket_note(result.qps, 800.0)
-        print(f"{router:22s} {result.qps:8.0f}q {report.satisfaction_rate:6.1%} "
+        print(f"{router:22s} {result.label:>9s} "
+              f"{report.satisfaction_rate:6.1%} "
               f"{report.goodput_qps:7.0f}/s {report.load_imbalance:10.2f} "
               f"{time.perf_counter() - t0:6.1f}s{note}")
     headroom = capacities["pressure_aware"] / max(1.0,
@@ -196,38 +199,41 @@ def main(argv: list[str] | None = None) -> int:
     # a fleet routes them apart.
     print(f"\nhomogeneous 64c fleet scaling (95% target):")
     print(f"{'nodes':>5s} {'capacity':>9s} {'per-node':>9s}")
-    scaling: dict[int, float] = {}
+    scaling = {}
     for node_count in (1, 2, 4):
         result = cluster_capacity(
             stack, homogeneous(node_count), spec, count=count,
             router="pressure_aware", target=0.95, low_qps=5.0,
             high_qps=150.0 * node_count, tolerance_qps=15.0,
             seed=args.seed, workers=args.workers)
-        scaling[node_count] = result.qps
-        print(f"{node_count:5d} {result.qps:8.0f}q "
+        scaling[node_count] = result
+        print(f"{node_count:5d} {result.label:>9s} "
               f"{result.qps / node_count:8.0f}q"
               f"{_bracket_note(result.qps, 150.0 * node_count)}")
 
     if args.json is not None:
         from repro.bench.results import BenchResult, write_result
-        metrics = {f"capacity_{router}": qps
-                   for router, qps in capacities.items()}
+        metrics = {}
+        for router, result in results.items():
+            metrics[f"capacity_{router}"] = result.qps
+            metrics[f"capacity_{router}_passed"] = float(result.passed)
+        for n, result in scaling.items():
+            metrics[f"scaling_{n}_nodes"] = result.qps
+            metrics[f"scaling_{n}_nodes_passed"] = float(result.passed)
         metrics.update({
             "headroom": headroom,
             "artifact_builds": float(stack.artifact_builds),
             "totals_reconcile": 1.0 if exact else 0.0,
-            **{f"scaling_{n}_nodes": qps
-               for n, qps in scaling.items()},
         })
         table = "\n".join(
             [f"{'router':22s} {'capacity':>9s}"]
-            + [f"{router:22s} {qps:8.0f}q"
-               for router, qps in capacities.items()]
+            + [f"{router:22s} {result.label:>9s}"
+               for router, result in results.items()]
             + ["", f"headroom pressure_aware/round_robin: "
                    f"{headroom:.2f}x",
                f"homogeneous 64c scaling: "
-               + " ".join(f"{n}n={qps:.0f}q"
-                          for n, qps in scaling.items())])
+               + " ".join(f"{n}n={result.label}"
+                          for n, result in scaling.items())])
         write_result(BenchResult(
             name="cluster_scale",
             title="Cluster scale: fleet capacity per router",

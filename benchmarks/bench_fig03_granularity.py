@@ -5,9 +5,8 @@ layer-wise, and fixed-block scheduling.  Fig. 3a reports QoS satisfaction,
 Fig. 3b average query latency.
 """
 
-from conftest import record
+from conftest import node_reports, record
 
-from repro.serving.experiments import reports_over_qps
 
 _POLICIES = ("model_fcfs", "layerwise", "block6", "block11")
 _QPS = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
@@ -15,8 +14,8 @@ _QPS = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
 
 def test_fig3_granularity(stack, benchmark, bench_queries):
     def run():
-        return {policy: reports_over_qps(stack, policy, "resnet50",
-                                         list(_QPS), bench_queries)
+        return {policy: node_reports(stack, policy, "resnet50",
+                                     list(_QPS), bench_queries)
                 for policy in _POLICIES}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

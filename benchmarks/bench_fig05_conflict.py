@@ -6,9 +6,8 @@ paper reports 23.8% at 300 QPS).  Fig. 5b: the per-layer conflict
 """
 
 import numpy as np
-from conftest import record
+from conftest import node_reports, record
 
-from repro.serving.experiments import reports_over_qps
 
 _POLICIES = ("model_fcfs", "layerwise", "block6", "block11")
 _QPS = (50.0, 150.0, 250.0, 300.0)
@@ -16,8 +15,8 @@ _QPS = (50.0, 150.0, 250.0, 300.0)
 
 def test_fig5a_conflict_rate(stack, benchmark, bench_queries):
     def run():
-        return {policy: reports_over_qps(stack, policy, "resnet50",
-                                         list(_QPS), bench_queries)
+        return {policy: node_reports(stack, policy, "resnet50",
+                                     list(_QPS), bench_queries)
                 for policy in _POLICIES}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -5,9 +5,8 @@ across granularities.  Paper Fig. 10b: dynamic blocks stay near the
 layer-wise minimal average while cutting the maximal usage.
 """
 
-from conftest import record
+from conftest import node_reports, record
 
-from repro.serving.experiments import reports_over_qps
 
 _POLICIES = ("model_fcfs", "layerwise", "block6", "block11", "veltair_as")
 _QPS = 100.0  # two-ish concurrent ResNet-50 queries on average
@@ -15,8 +14,8 @@ _QPS = 100.0  # two-ish concurrent ResNet-50 queries on average
 
 def test_fig10_core_usage(stack, benchmark, bench_queries):
     def run():
-        return {policy: reports_over_qps(stack, policy, "resnet50",
-                                         [_QPS], bench_queries)[0]
+        return {policy: node_reports(stack, policy, "resnet50",
+                                     [_QPS], bench_queries)[0]
                 for policy in _POLICIES}
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)

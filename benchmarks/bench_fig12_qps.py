@@ -9,7 +9,7 @@ spatial baseline.
 
 from conftest import record
 
-from repro.serving.experiments import capacity
+from repro.cluster import cluster_capacity, homogeneous
 from repro.serving.workload import HEAVY_MIX, LIGHT_MIX, MEDIUM_MIX, full_mix
 
 _POLICIES = ("layerwise", "prema", "veltair_as", "veltair_ac",
@@ -23,11 +23,11 @@ def test_fig12_capacity(stack, benchmark, bench_queries, bench_tolerance,
         table = {}
         for spec in _WORKLOADS:
             for policy in _POLICIES:
-                result = capacity(stack, policy, spec,
-                                  count=bench_queries,
-                                  tolerance_qps=bench_tolerance,
-                                  low_qps=5.0, high_qps=600.0, seed=17,
-                                  workers=bench_workers)
+                result = cluster_capacity(
+                    stack, homogeneous(1, policy=policy), spec,
+                    count=bench_queries, router="round_robin",
+                    tolerance_qps=bench_tolerance, low_qps=5.0,
+                    high_qps=600.0, seed=17, workers=bench_workers)
                 table[(spec.name, policy)] = result.qps
         return table
 

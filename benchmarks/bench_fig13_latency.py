@@ -5,9 +5,8 @@ latency on the whole machine.  Paper: VELTAIR-FULL lands within ~1.1x of
 isolated execution, AS alone ~1.6x, AC alone ~1.17x.
 """
 
-from conftest import record
+from conftest import node_reports, record
 
-from repro.serving.experiments import reports_over_qps
 
 _MODELS = ("mobilenet_v2", "googlenet", "resnet50")
 _POLICIES = ("veltair_as", "veltair_ac", "veltair_full")
@@ -23,9 +22,9 @@ def test_fig13_latency_vs_isolated(stack, benchmark, bench_queries,
         for model in _MODELS:
             iso = stack.isolated_model_latency(model)
             for policy in _POLICIES:
-                report = reports_over_qps(stack, policy, model,
-                                          [_QPS[model]], bench_queries,
-                                          workers=bench_workers)[0]
+                report = node_reports(stack, policy, model,
+                                      [_QPS[model]], bench_queries,
+                                      workers=bench_workers)[0]
                 rows[(model, policy)] = report.average_latency_s / iso
         return rows
 

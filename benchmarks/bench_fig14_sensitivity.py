@@ -10,11 +10,10 @@ five in the paper).
 from collections import Counter
 
 import numpy as np
-from conftest import record
+from conftest import node_reports, record
 
 from repro.models.layers import Conv2D
 from repro.compiler.multiversion import SinglePassCompiler
-from repro.serving.experiments import reports_over_qps
 
 
 def test_fig14a_core_usage_gap(stack, benchmark, bench_queries):
@@ -24,8 +23,8 @@ def test_fig14a_core_usage_gap(stack, benchmark, bench_queries):
         rows = {}
         for label, qps in loads.items():
             for policy in ("model_fcfs", "veltair_as"):
-                report = reports_over_qps(stack, policy, "resnet50",
-                                          [qps], bench_queries)[0]
+                report = node_reports(stack, policy, "resnet50",
+                                      [qps], bench_queries)[0]
                 rows[(label, policy)] = report.average_cores_used
         return rows
 

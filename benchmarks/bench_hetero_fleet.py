@@ -109,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     print(header)
     print("-" * len(header))
     capacities: dict[str, float] = {}
+    results = {}
     for label, fleet, router in points:
         t0 = time.perf_counter()
         result = cluster_capacity(
@@ -116,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
             low_qps=10.0, high_qps=800.0, tolerance_qps=tolerance,
             seed=args.seed, workers=args.workers, scenario=scenario)
         capacities[label] = result.qps
+        results[label] = result
         report = result.report
-        print(f"{label:22s} {result.qps:8.0f}q "
+        print(f"{label:22s} {result.label:>9s} "
               f"{report.satisfaction_rate:6.1%} "
               f"{report.goodput_qps:7.0f}/s "
               f"{time.perf_counter() - t0:6.1f}s")
@@ -192,8 +194,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json is not None:
         from repro.bench.results import BenchResult, write_result
-        metrics = {f"capacity_{label}": qps
-                   for label, qps in capacities.items()}
+        metrics = {}
+        for label, result in results.items():
+            metrics[f"capacity_{label}"] = result.qps
+            metrics[f"capacity_{label}_passed"] = float(result.passed)
         metrics.update({
             "artifact_builds": float(stack.artifact_builds),
             "mixed_ge_cpu_only": 1.0 if mixed_ge_cpu else 0.0,
@@ -206,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         })
         table = "\n".join(
             [f"{'fleet/router':22s} {'capacity':>9s}"]
-            + [f"{label:22s} {qps:8.0f}q"
-               for label, qps in capacities.items()]
+            + [f"{label:22s} {result.label:>9s}"
+               for label, result in results.items()]
             + ["", "accelerator scheduler A/B "
                    f"(sat @ {accel_qps:.0f} QPS): "
                + " ".join(f"{p}={s:.1%}" for p, s in accel_sat.items())])

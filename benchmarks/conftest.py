@@ -17,7 +17,7 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_TOL``     — capacity-search tolerance in QPS (default 25).
 * ``REPRO_BENCH_WORKERS`` — processes per QPS sweep (default 1 = serial;
   higher values fan capacity searches and load curves out over
-  ``sweep_qps`` worker processes).
+  fork-ed worker processes).
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from typing import Mapping
 import pytest
 
 from repro.bench.results import BenchResult, write_result
+from repro.cluster import homogeneous, sweep_cluster_qps
 from repro.serving.server import ServingStack
+from repro.serving.workload import single_model
 
 BENCH_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "150"))
 BENCH_TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "192"))
@@ -60,6 +62,21 @@ def record(name: str, title: str, text: str,
                    "tolerance_qps": BENCH_TOL},
             tables={title: text}, seed=seed),
         _RESULTS_DIR)
+
+
+def node_reports(stack: ServingStack, policy: str, model: str,
+                 qps_values: list[float], count: int,
+                 workers: int | None = None) -> list:
+    """One node's ``ServingReport`` per offered load (Fig. 3/5a/10/13/14).
+
+    The paper's single-model protocol: one node, a one-node round-robin
+    fleet, streams ``model`` alone with identical uniform arrivals.
+    """
+    reports = sweep_cluster_qps(
+        stack, homogeneous(1, policy=policy), single_model(model),
+        list(qps_values), count, router="round_robin", workers=workers,
+        scenario="uniform")
+    return [report.nodes[0].report for report in reports]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,8 +10,8 @@ Run:  python examples/capacity_planning.py
 
 import os
 
+from repro.cluster import cluster_capacity, homogeneous
 from repro.serving import MEDIUM_MIX, ServingStack
-from repro.serving.experiments import capacity
 
 TRIALS = int(os.environ.get("REPRO_EXAMPLE_TRIALS", "192"))
 QUERIES = int(os.environ.get("REPRO_EXAMPLE_QUERIES", "150"))
@@ -26,14 +26,21 @@ def main() -> None:
     results = {}
     for policy in ("prema", "model_fcfs", "layerwise", "block11",
                    "veltair_as", "veltair_full"):
-        result = capacity(stack, policy, MEDIUM_MIX, count=QUERIES,
-                          tolerance_qps=20, low_qps=10, high_qps=600,
-                          seed=3)
+        # One box is a one-node fleet under round-robin routing.
+        result = cluster_capacity(stack, homogeneous(1, policy=policy),
+                                  MEDIUM_MIX, count=QUERIES,
+                                  router="round_robin", tolerance_qps=20,
+                                  low_qps=10, high_qps=600, seed=3)
         results[policy] = result
+        if not result.passed:
+            print(f"  {policy:14s} misses the SLA even at the "
+                  f"{result.qps:.0f} QPS floor")
+            continue
+        node = result.report.nodes[0].report
         print(f"  {policy:14s} capacity = {result.qps:5.0f} QPS   "
               f"(latency at capacity: "
-              f"{result.report.average_latency_s * 1e3:6.2f} ms, "
-              f"avg cores {result.report.average_cores_used:4.1f})")
+              f"{node.average_latency_s * 1e3:6.2f} ms, "
+              f"avg cores {node.average_cores_used:4.1f})")
 
     baseline = results["layerwise"].qps
     best = results["veltair_full"].qps

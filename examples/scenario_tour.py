@@ -36,9 +36,9 @@ def main() -> None:
     print(f"\nServing {QUERIES} queries at {qps:.0f} *mean* QPS under "
           "each arrival shape (veltair_full):")
     print(f"  {'scenario':14s} {'sat':>7s} {'avg lat':>9s} {'p99':>9s}")
+    node = Cluster(stack, homogeneous(1), router="round_robin")
     for name in SHAPES:
-        report = stack.report("veltair_full", spec, qps, QUERIES,
-                              seed=42, scenario=name)
+        report = node.report(spec, qps, QUERIES, seed=42, scenario=name)
         print(f"  {name:14s} {report.satisfaction_rate:7.1%} "
               f"{report.average_latency_s * 1e3:7.2f}ms "
               f"{report.p99_latency_s * 1e3:7.2f}ms")

@@ -67,12 +67,16 @@ def _report_fields(report, prefix: str) -> dict[str, float]:
 
 
 def _run_scenario_capacity(ctx: BenchContext) -> list[BenchResult]:
-    from repro.serving.experiments import capacity
+    from repro.cluster import cluster_capacity, homogeneous
     stack = ctx.stack(_QUICK_MODELS)
     spec = _quick_spec()
-    search = dict(count=ctx.queries, tolerance_qps=ctx.tolerance_qps,
-                  low_qps=5.0, high_qps=400.0, seed=ctx.seed,
-                  workers=ctx.workers)
+    search = dict(count=ctx.queries, router="round_robin",
+                  tolerance_qps=ctx.tolerance_qps, low_qps=5.0,
+                  high_qps=400.0, seed=ctx.seed, workers=ctx.workers)
+
+    def capacity(policy, **kwargs):
+        return cluster_capacity(stack, homogeneous(1, policy=policy), spec,
+                                **search, **kwargs)
 
     metrics: dict[str, float] = {}
     info: dict[str, object] = {}
@@ -83,21 +87,22 @@ def _run_scenario_capacity(ctx: BenchContext) -> list[BenchResult]:
     # stationary Poisson stream.
     deltas = []
     for policy in ("layerwise", "veltair_full"):
-        default = capacity(stack, policy, spec, **search)
-        scen = capacity(stack, policy, spec, scenario="poisson", **search)
+        default = capacity(policy)
+        scen = capacity(policy, scenario="poisson")
         metrics[f"capacity_{policy}"] = default.qps
+        metrics[f"capacity_{policy}_passed"] = float(default.passed)
         deltas.append(abs(default.qps - scen.qps))
         lines.append(f"{'(default)':14s} {policy:14s} "
-                     f"{default.qps:8.0f}q "
+                     f"{default.label:>9s} "
                      f"{default.report.satisfaction_rate:7.2%}")
     metrics["poisson_equivalence_max_abs"] = max(deltas)
 
     for shape in _SHAPES:
-        result = capacity(stack, "veltair_full", spec, scenario=shape,
-                          **search)
+        result = capacity("veltair_full", scenario=shape)
         metrics[f"capacity_full_{shape}"] = result.qps
+        metrics[f"capacity_full_{shape}_passed"] = float(result.passed)
         lines.append(f"{shape:14s} {'veltair_full':14s} "
-                     f"{result.qps:8.0f}q "
+                     f"{result.label:>9s} "
                      f"{result.report.satisfaction_rate:7.2%}")
     info["policies"] = ["layerwise", "veltair_full"]
 
@@ -298,7 +303,11 @@ def _run_compile_cache(ctx: BenchContext) -> list[BenchResult]:
         tables={title: "\n".join(lines)}, seed=seed)]
 
 
-_SCENARIO_CAPACITY_TOL = {"poisson_equivalence_max_abs": _EXACT}
+_SCENARIO_CAPACITY_TOL = {
+    "poisson_equivalence_max_abs": _EXACT,
+    **{f"capacity_{name}_passed": _EXACT
+       for name in ("layerwise", "veltair_full",
+                    *(f"full_{shape}" for shape in _SHAPES))}}
 _TRACE_TOL = {"single_node_max_abs_delta": _EXACT,
               "cluster_max_abs_delta": _EXACT,
               "trace_span_s": Tolerance(rel=0.05, abs=0.01)}
@@ -358,7 +367,12 @@ register_benchmark(Benchmark(
                 "reconciliation",
     path="bench_cluster_scale.py",
     tolerances={"totals_reconcile": _EXACT,
-                "artifact_builds": _EXACT},
+                "artifact_builds": _EXACT,
+                **{f"capacity_{router}_passed": _EXACT
+                   for router in ("round_robin", "least_outstanding",
+                                  "join_shortest_queue", "pressure_aware")},
+                **{f"scaling_{nodes}_nodes_passed": _EXACT
+                   for nodes in (1, 2, 4)}},
     default_tolerance=Tolerance(rel=0.30, abs=10.0)))
 register_benchmark(Benchmark(
     name="hetero_fleet", kind="script", quick=True,
@@ -368,7 +382,10 @@ register_benchmark(Benchmark(
     tolerances={"artifact_builds": _EXACT,
                 "mixed_ge_cpu_only": _EXACT,
                 "affinity_ge_pressure": _EXACT,
-                "affinity_deterministic": _EXACT},
+                "affinity_deterministic": _EXACT,
+                **{f"capacity_{label}_passed": _EXACT
+                   for label in ("cpu_pressure", "hetero_pressure",
+                                 "hetero_affinity")}},
     default_tolerance=Tolerance(rel=0.30, abs=10.0)))
 register_benchmark(Benchmark(
     name="telemetry_overhead", kind="script", quick=True,

@@ -38,7 +38,7 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.experiments import (
     AutoscalePoint,
-    ClusterCapacityResult,
+    CapacityResult,
     cluster_capacity,
     sweep_autoscale,
     sweep_cluster_qps,
@@ -81,7 +81,7 @@ __all__ = [
     "RETIRED", "WARMING",
     "AutoscaleController", "AutoscalePolicy", "FleetSignals",
     "ScalingEvent",
-    "AutoscalePoint", "ClusterCapacityResult", "cluster_capacity",
+    "AutoscalePoint", "CapacityResult", "cluster_capacity",
     "sweep_autoscale", "sweep_cluster_qps",
     "Cluster", "ClusterNode",
     "ClusterReport", "NodeReport", "rollup",

@@ -1,30 +1,94 @@
-"""Fleet-level experiment drivers: load sweeps and capacity searches.
+"""Experiment drivers: load sweeps and capacity searches.
 
-The cluster analogues of :mod:`repro.serving.experiments`, on the same
-sweep primitive: a fleet simulation is a frozen :class:`FleetSweep` (or
+A single node is a one-node ``round_robin`` fleet, so every figure runs
+here.  A simulation is a frozen :class:`FleetSweep` (or
 :class:`AutoscaleSweep`) point that :func:`repro.parallel.sweep` maps
 over the offered loads, fanning them out over ``fork``-ed workers (the
 compiled stack travels by copy-on-write, never pickled) or running them
-serially in-process on platforms without ``fork``.
+serially in-process on platforms without ``fork``.  A ``scenario``
+(name or :class:`repro.workloads.ScenarioSpec`; ``None`` is Poisson) is
+the arrival shape each sweep scales to its offered loads.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fleet import Cluster
 from repro.cluster.metrics import ClusterReport
+from repro.cluster.router import PressureAwareRouter, make_router
 from repro.cluster.spec import ClusterSpec
-from repro.parallel import sweep
-from repro.serving.experiments import (
-    open_loop_scenario,
-    search_capacity,
-    warm_models,
-)
-from repro.serving.server import ServingStack
+from repro.parallel import sweep, sweep_pool
+from repro.serving.metrics import max_qps_at_satisfaction, meets_target
+from repro.serving.server import PROXY_POLICIES, ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.workloads.scenario import resolve_scenario
+
+
+def open_loop_scenario(scenario):
+    """Registered name or spec -> spec; ``None`` -> ``"poisson"``.
+
+    Request-model scenarios (``closed_loop``/``pipeline``) are rejected
+    up front: the open-loop sweep drivers pre-draw a fixed stream per
+    load, which a completion-driven scenario cannot express — run those
+    through :meth:`Cluster.serve_stream
+    <repro.cluster.fleet.Cluster.serve_stream>` (a one-node
+    ``round_robin`` fleet is the single-node driver).
+    """
+    resolved = resolve_scenario(scenario)
+    if resolved.request_model:
+        raise ValueError(
+            f"scenario {resolved.name!r} uses the request model "
+            "(closed-loop/pipeline); open-loop sweeps cannot drive it — "
+            "use Cluster.serve_stream (one node: homogeneous(1), "
+            "router='round_robin')")
+    return resolved
+
+
+def warm_models(stack: ServingStack) -> None:
+    """Compile and profile every model of ``stack`` (pre-fork warm-up)."""
+    stack.ensure_compiled()
+    for name in stack.model_names:
+        _ = stack.profiles[name]
+
+
+def _warm_runtimes(stack: ServingStack, devices, policies, router: str,
+                   admission: AdmissionPolicy | None) -> None:
+    """Pre-fork warm-up: models, runtimes, and the proxies a serve reads.
+
+    Proxies are read by proxy-driven policies, pressure-reading routers
+    and admission control; no one else pays the fit.
+    """
+    warm_models(stack)
+    reads_proxy = (admission is not None
+                   or any(policy in PROXY_POLICIES for policy in policies)
+                   or isinstance(make_router(router), PressureAwareRouter))
+    for device in devices:
+        runtime = stack.runtime_for(device)
+        if reads_proxy:
+            _ = runtime.proxy
+
+
+def search_capacity(point, workers: int | None = None,
+                    **bisection) -> tuple[float, object]:
+    """:func:`max_qps_at_satisfaction` over a sweep point's loads.
+
+    With ``workers > 1`` each search round batches ``workers`` loads
+    across one persistent :func:`repro.parallel.sweep_pool`
+    (speculative multi-point bisection over warm workers); with the
+    default it is the paper's sequential protocol, probe for probe.
+    ``bisection`` carries the search bounds (``target``, ``low_qps``,
+    ``high_qps``, ``tolerance_qps``).
+    """
+    batch = 1 if workers is None else max(1, int(workers))
+    with (sweep_pool(point, batch) if batch > 1
+          else contextlib.nullcontext()) as pool:
+        return max_qps_at_satisfaction(
+            run_batch=lambda loads: sweep(point, loads, pool=pool),
+            batch=batch, **bisection)
 
 
 @dataclass(frozen=True)
@@ -50,9 +114,9 @@ class FleetSweep:
 
     def warm(self) -> None:
         """Build models, profiles and per-device runtimes pre-fork."""
-        warm_models(self.stack)
-        for device in self.cluster_spec.device_specs:
-            self.stack.runtime_for(device)
+        _warm_runtimes(self.stack, self.cluster_spec.device_specs,
+                       [node.policy for node in self.cluster_spec.nodes],
+                       self.router, self.admission)
 
     def __call__(self, qps: float) -> ClusterReport:
         cluster = Cluster(self.stack, self.cluster_spec,
@@ -70,9 +134,11 @@ def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
                       pool=None, scenario=None) -> list[ClusterReport]:
     """One :class:`ClusterReport` per offered load, optionally parallel.
 
-    Same contract as :func:`repro.serving.experiments.sweep_qps`: every
-    point is deterministic per (seed, qps), ``workers > 1`` forks a
-    pool, and a :func:`repro.parallel.sweep_pool` built for the equal
+    Every point is an independent simulation, deterministic per (seed,
+    qps), so results are identical however they are computed.
+    ``workers > 1`` forks a pool (``workers`` of 1 or ``None``, or a
+    platform without ``fork``, runs the points in-process), and a
+    :func:`repro.parallel.sweep_pool` built for the equal
     :class:`FleetSweep` passed as ``pool`` reuses warm workers.
     """
     point = FleetSweep(stack, cluster_spec, spec, count, router=router,
@@ -131,14 +197,15 @@ class AutoscaleSweep:
 
     def warm(self) -> None:
         """Build models, profiles and every member's runtime pre-fork."""
-        warm_models(self.stack)
+        members = (self.initial_spec.nodes + self.static_spec.nodes
+                   + (self.policy.template,))
         # dict.fromkeys, not set(): stable first-seen dedup order, so
         # runtimes warm (and the stack's runtime map fills) in the same
         # order every run regardless of PYTHONHASHSEED.
-        for device in dict.fromkeys(self.initial_spec.device_specs
-                                    + self.static_spec.device_specs
-                                    + (self.policy.template.device,)):
-            self.stack.runtime_for(device)
+        _warm_runtimes(self.stack,
+                       dict.fromkeys(node.device for node in members),
+                       [node.policy for node in members], self.router,
+                       self.admission)
 
     def __call__(self, cell: tuple) -> AutoscalePoint:
         """Serve one identical stream through both fleets, pair reports.
@@ -189,14 +256,30 @@ def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
 
 
 @dataclass(frozen=True)
-class ClusterCapacityResult:
-    """Fleet QPS@target for one (router, fleet, workload) cell."""
+class CapacityResult:
+    """QPS@target for one (router, fleet, workload) cell (Fig. 12).
+
+    :attr:`passed` says whether the search's floor probe met
+    ``target``.  When it did not, ``qps`` is the floor itself — a
+    bound the fleet never reached, not a capacity.
+    """
 
     router: str
     cluster: str
     workload: str
+    target: float
     qps: float
     report: ClusterReport
+
+    @property
+    def passed(self) -> bool:
+        """Whether the floor probe (and so the reported load) passed."""
+        return meets_target(self.report, self.target)
+
+    @property
+    def label(self) -> str:
+        """The capacity as a table cell: ``"<qps>q"``, or ``"<floor"``."""
+        return f"{self.qps:.0f}q" if self.passed else "<floor"
 
 
 def cluster_capacity(stack: ServingStack, cluster_spec: ClusterSpec,
@@ -208,20 +291,22 @@ def cluster_capacity(stack: ServingStack, cluster_spec: ClusterSpec,
                      tolerance_qps: float = 25.0,
                      seed: int | None = None,
                      workers: int | None = None,
-                     scenario=None) -> ClusterCapacityResult:
+                     scenario=None) -> CapacityResult:
     """Max offered QPS with ``target`` fleet QoS satisfaction.
 
-    The fleet version of the paper's Fig. 12 metric: shed queries count
-    as QoS violations, so admission control cannot buy capacity by
-    rejecting its way to a clean satisfaction rate.  The bisection is
-    :func:`repro.serving.experiments.search_capacity`, shared with the
-    single-node :func:`~repro.serving.experiments.capacity`.
+    The paper's Fig. 12 metric, fleet-wide: on ``homogeneous(1,
+    policy=...)`` with ``router="round_robin"`` it is the single-node
+    capacity.  Shed queries count as QoS violations, so admission
+    control cannot buy capacity by rejecting its way to a clean
+    satisfaction rate.  A ``scenario`` makes this "capacity under that
+    arrival shape": the bisection (:func:`search_capacity`) scales the
+    scenario's mean rate instead of a stationary Poisson rate.
     """
     qps, report = search_capacity(
         FleetSweep(stack, cluster_spec, spec, count, router=router,
                    admission=admission, seed=seed, scenario=scenario),
         workers=workers, target=target, low_qps=low_qps,
         high_qps=high_qps, tolerance_qps=tolerance_qps)
-    return ClusterCapacityResult(router=router, cluster=cluster_spec.name,
-                                 workload=spec.name, qps=qps,
-                                 report=report)
+    return CapacityResult(router=router, cluster=cluster_spec.name,
+                          workload=spec.name, target=target, qps=qps,
+                          report=report)

@@ -1,9 +1,10 @@
 """The fleet simulation driver: N node engines, one global event order.
 
-:class:`Cluster` is the multi-node analogue of
-:meth:`ServingStack.run <repro.serving.server.ServingStack.run>`: it
-builds one :class:`~repro.runtime.engine.Engine` + policy per node over
-the stack's *shared* artifacts (one compile pass fleet-wide), then
+:class:`Cluster` is the only way anything is served — a single node is
+a one-node ``round_robin`` fleet, which is what
+:meth:`ServingStack.run <repro.serving.server.ServingStack.run>` builds.
+It builds one :class:`~repro.runtime.engine.Engine` + policy per node
+over the stack's *shared* artifacts (one compile pass fleet-wide), then
 co-simulates them in one conservative lockstep.  Two sources of events
 exist: the serve heap (offers, autoscale ticks, node joins) and each
 node engine's own heap (arrivals, block finishes, batch timers).  Every
@@ -32,6 +33,7 @@ land in the :class:`~repro.cluster.metrics.ClusterReport`.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 
@@ -94,7 +96,8 @@ class ClusterNode:
         self.engine = Engine(self.runtime.cost_model,
                              price_cache=self.runtime.price_cache,
                              tracer=(tracer.bind(spec.name)
-                                     if tracer is not None else None))
+                                     if tracer is not None else None),
+                             batching=spec.batching)
         self.scheduler = stack.make_scheduler(spec.policy,
                                               runtime=self.runtime)
         self.engine.begin([], self.scheduler)
@@ -149,8 +152,7 @@ class ClusterNode:
 class Cluster:
     """A reusable fleet harness: spec + router + admission over one stack.
 
-    Engines are per-``serve`` (fresh nodes each call, exactly like
-    ``ServingStack.run`` builds fresh engines per run), so one
+    Engines are per-``serve`` (fresh nodes each call), so one
     ``Cluster`` can drive a whole QPS sweep.  Pass ``router`` as a
     registry name (a fresh router is built per serve) or as a
     :class:`Router` instance to keep custom routing state across calls.
@@ -254,7 +256,8 @@ class Cluster:
         Default arrivals are the stationary Poisson stream; a
         ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
         registered name) swaps in any trace-driven shape at mean rate
-        ``qps`` — the fleet twin of ``ServingStack.report``.
+        ``qps``.  On a one-node fleet, ``report.nodes[0].report`` holds
+        the node-level fields (conflict rate, grows, core usage).
         ``tracer`` records the serve (see :meth:`serve`).
         """
         queries = scenario_queries(
@@ -525,9 +528,8 @@ class _ServeRun:
         spin-up re-profiles for the template's device (memoised after
         the first node of a width) but never recompiles.
         """
-        template = self.cluster.autoscale.template
-        spec = NodeSpec(name=name, device=template.device,
-                        policy=template.policy)
+        spec = dataclasses.replace(self.cluster.autoscale.template,
+                                   name=name)
         node = ClusterNode(len(self.all_nodes), spec, self.cluster.stack,
                            tracer=self.tracer)
         node.engine.on_complete = self.on_complete

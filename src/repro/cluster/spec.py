@@ -19,6 +19,7 @@ from repro.hardware.platform import (
     THREADRIPPER_3990X,
     DeviceSpec,
 )
+from repro.runtime.engine import BatchPolicy
 
 #: Default per-node scheduling policy.
 DEFAULT_NODE_POLICY = "veltair_full"
@@ -26,11 +27,13 @@ DEFAULT_NODE_POLICY = "veltair_full"
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One serving node: a device plus the local scheduling policy."""
+    """One serving node: a device, its local policy, optional batching."""
 
     name: str
     device: DeviceSpec
     policy: str = DEFAULT_NODE_POLICY
+    #: The node engine's dynamic batching; ``None`` batches nothing.
+    batching: BatchPolicy | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -81,14 +84,19 @@ class ClusterSpec:
 
 def homogeneous(count: int, device: DeviceSpec = THREADRIPPER_3990X,
                 policy: str = DEFAULT_NODE_POLICY,
-                name: str | None = None) -> ClusterSpec:
-    """``count`` identical nodes (default: the paper's 64-core testbed)."""
+                name: str | None = None,
+                batching: BatchPolicy | None = None) -> ClusterSpec:
+    """``count`` identical nodes (default: the paper's 64-core testbed).
+
+    ``homogeneous(1)`` under ``round_robin`` is the paper's single node.
+    """
     if count <= 0:
         raise ValueError("node count must be positive")
     label = name or f"{count}x{device.cores}c"
     return ClusterSpec(
         name=label,
-        nodes=tuple(NodeSpec(name=f"node{i}", device=device, policy=policy)
+        nodes=tuple(NodeSpec(name=f"node{i}", device=device, policy=policy,
+                             batching=batching)
                     for i in range(count)))
 
 

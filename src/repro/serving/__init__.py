@@ -1,15 +1,13 @@
-"""Serving layer: workload generation, metrics, and the system facade."""
+"""Serving layer: workload generation, metrics, and the system facade.
 
-from repro.serving.experiments import (
-    CapacityResult,
-    capacity,
-    latency_at_capacity,
-    reports_over_qps,
-    sweep_qps,
-)
+Load sweeps and capacity searches live in :mod:`repro.cluster.experiments`:
+a single node is a one-node ``round_robin`` fleet.
+"""
+
 from repro.serving.metrics import (
     ServingReport,
     max_qps_at_satisfaction,
+    meets_target,
     summarize,
 )
 from repro.serving.server import POLICIES, ServingStack
@@ -25,9 +23,8 @@ from repro.serving.workload import (
 )
 
 __all__ = [
-    "CapacityResult", "capacity", "latency_at_capacity", "reports_over_qps",
-    "sweep_qps",
-    "ServingReport", "max_qps_at_satisfaction", "summarize",
+    "ServingReport", "max_qps_at_satisfaction", "meets_target",
+    "summarize",
     "POLICIES", "ServingStack",
     "WorkloadSpec", "class_mix", "full_mix", "scenario_queries",
     "single_model",

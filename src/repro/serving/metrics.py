@@ -78,7 +78,7 @@ def summarize(completed: list[Query], metrics: SimulationMetrics,
     )
 
 
-def _passes(report: ServingReport, target: float) -> bool:
+def meets_target(report, target: float) -> bool:
     """Whether one capacity probe counts as passing.
 
     Invariant: a report with ``completed == 0`` never passes, whatever
@@ -107,8 +107,8 @@ def max_qps_at_satisfaction(
     fails, that failing report is returned with the load.
 
     The search can evaluate several loads per round: pass ``run_batch``
-    (e.g. a :func:`repro.serving.experiments.sweep_qps` closure, which
-    simulates a whole batch across worker processes) and ``batch > 1``
+    (e.g. a :func:`repro.parallel.sweep` closure, which simulates a
+    whole batch across worker processes) and ``batch > 1``
     to probe ``batch`` bracket doublings or interior points at once.
     With ``batch=1`` the probe sequence is exactly the classic
     bisection, whatever runner is used.
@@ -128,7 +128,7 @@ def max_qps_at_satisfaction(
         return [run_at_qps(point) for point in points]
 
     (low_report,) = evaluate([low_qps])
-    if not _passes(low_report, target):
+    if not meets_target(low_report, target):
         return low_qps, low_report
     best_qps, best_report = low_qps, low_report
 
@@ -147,7 +147,7 @@ def max_qps_at_satisfaction(
             probe *= 2.0
         reports = evaluate(probes)
         for qps, report in zip(probes, reports):
-            if _passes(report, target):
+            if meets_target(report, target):
                 best_qps, best_report = qps, report
             else:
                 first_fail = (qps, report)
@@ -171,7 +171,7 @@ def max_qps_at_satisfaction(
             points = [low + step * index for index in range(1, batch + 1)]
         reports = evaluate(points)
         for qps, report in zip(points, reports):
-            if _passes(report, target):
+            if meets_target(report, target):
                 if qps > low:
                     low, best_qps, best_report = qps, qps, report
             else:

@@ -2,8 +2,9 @@
 
 :class:`ServingStack` owns the expensive offline artifacts — the cost
 model, the multi-version compiled libraries, the scheduling profiles and
-the fitted interference proxy — and builds fresh engines per run so
-simulations stay independent.  Policies are addressed by name:
+the fitted interference proxy.  Every serve runs on fresh engines
+through the fleet drive loop (:mod:`repro.cluster.fleet`); a single node
+is a one-node fleet.  Policies are addressed by name:
 
 ========================  ====================================================
 ``model_fcfs``            whole-model FCFS (coarse baseline)
@@ -20,8 +21,9 @@ simulations stay independent.  Policies are addressed by name:
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.config import DEFAULT_SEED
@@ -36,7 +38,7 @@ from repro.interference.proxy import (
     fit_proxy,
 )
 from repro.models.registry import get_entry, get_model, model_names
-from repro.runtime.engine import BatchPolicy, Engine
+from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
 from repro.scheduling.base import (
@@ -54,11 +56,11 @@ from repro.scheduling.layerwise import (
 )
 from repro.scheduling.prema import PremaScheduler
 from repro.scheduling.veltair import VeltairScheduler
-from repro.serving.metrics import ServingReport, summarize
-from repro.serving.workload import WorkloadSpec, scenario_queries
 
 POLICIES = ("model_fcfs", "layerwise", "prema", "block6", "block11",
             "veltair_as", "veltair_ac", "veltair_full", "gacer")
+#: The policies that read the interference proxy.
+PROXY_POLICIES = ("veltair_ac", "veltair_full")
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,26 @@ class NodeRuntime:
     bound to one cost model), and the interference proxy (counter
     magnitudes do not port across specs).  Nodes with the same
     :class:`DeviceSpec` share one runtime, so a homogeneous fleet shares
-    a single warm pricing cache.
+    a single warm pricing cache.  The proxy is fitted on first read:
+    only the proxy-driven policies and the pressure-reading routers and
+    admission controller ask for it.
     """
 
     device: CpuSpec | DeviceSpec
     cost_model: CostModel
     price_cache: PricingCache
     profiles: dict[str, ModelProfile]
-    proxy: LinearInterferenceProxy | None
+    fit_proxy: Callable[[], LinearInterferenceProxy | None] = field(
+        repr=False, compare=False)
 
     @property
     def device_kind(self) -> str:
         return getattr(self.device, "kind", "cpu")
+
+    @cached_property
+    def proxy(self) -> LinearInterferenceProxy | None:
+        """The interference proxy for this device, fitted on first read."""
+        return self.fit_proxy()
 
 
 class _LazyArtifacts(Mapping):
@@ -189,8 +199,6 @@ class ServingStack:
         #: (the cluster benchmark asserts exactly this).
         self.artifact_builds = 1
 
-        self._proxy: LinearInterferenceProxy | None = None
-        self._proxy_ready = not use_proxy
         self._proxy_scenarios = proxy_scenarios
         self._use_proxy = use_proxy
 
@@ -237,11 +245,8 @@ class ServingStack:
 
     @property
     def proxy(self) -> LinearInterferenceProxy | None:
-        """The fitted interference proxy (fitted on first access)."""
-        if not self._proxy_ready:
-            self._proxy = self._fit_proxy(self.cost_model)
-            self._proxy_ready = True
-        return self._proxy
+        """The stack device's interference proxy (fitted on first read)."""
+        return self.runtime_for().proxy
 
     def _fit_proxy(self, cost_model: CostModel) -> LinearInterferenceProxy:
         """Fit the counter proxy against one machine's cost model.
@@ -275,23 +280,21 @@ class ServingStack:
         if runtime is not None:
             return runtime
         if cpu == self.cpu:
-            runtime = NodeRuntime(device=self.cpu,
-                                  cost_model=self.cost_model,
-                                  price_cache=self.price_cache,
-                                  profiles=self.profiles, proxy=self.proxy)
+            cost_model, price_cache, profiles = (
+                self.cost_model, self.price_cache, self.profiles)
         else:
             cost_model = CostModel(cpu, self.cost_model.params)
+            price_cache = PricingCache(
+                max_entries=self.price_cache.max_entries)
             profiles = {name: build_profile(cost_model, compiled)
                         for name, compiled in self.compiled.items()}
-            runtime = NodeRuntime(
-                device=cpu, cost_model=cost_model,
-                price_cache=PricingCache(
-                    max_entries=self.price_cache.max_entries),
-                profiles=profiles,
-                # Re-fit per width: the proxy reads chip-wide counter
-                # magnitudes, which do not port across machine specs.
-                proxy=(self._fit_proxy(cost_model)
-                       if self._use_proxy else None))
+        runtime = NodeRuntime(
+            device=cpu, cost_model=cost_model, price_cache=price_cache,
+            profiles=profiles,
+            # Fitted per device: the proxy reads chip-wide counter
+            # magnitudes, which do not port across machine specs.
+            fit_proxy=lambda: (self._fit_proxy(cost_model)
+                               if self._use_proxy else None))
         self._runtimes[cpu] = runtime
         return runtime
 
@@ -299,11 +302,11 @@ class ServingStack:
         """Instantiate a named policy bound to this stack's artifacts.
 
         ``runtime`` binds the policy to a per-node runtime (from
-        :meth:`runtime_for`) instead of the stack's own machine — how a
+        :meth:`runtime_for`; default: the stack's own machine) — how a
         cluster builds one scheduler per node over shared artifacts.
         """
-        cost_model = runtime.cost_model if runtime else self.cost_model
-        profiles = runtime.profiles if runtime else self.profiles
+        runtime = runtime if runtime is not None else self.runtime_for()
+        cost_model, profiles = runtime.cost_model, runtime.profiles
         if policy == "model_fcfs":
             return ModelWiseFcfs(cost_model, profiles)
         if policy == "layerwise":
@@ -324,63 +327,35 @@ class ServingStack:
                 cost_model, profiles,
                 plan_cache_entries=self.plan_cache_entries)
         # Only the proxy-driven policies read the proxy — referencing
-        # ``self.proxy`` here would trigger the lazy fit for everyone.
+        # ``runtime.proxy`` here would trigger the lazy fit for everyone.
         if policy == "veltair_ac":
             return AdaptiveCompilationOnly(
-                cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy,
+                cost_model, profiles, proxy=runtime.proxy,
                 plan_cache_entries=self.plan_cache_entries)
         if policy == "veltair_full":
             return VeltairScheduler(
-                cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy,
+                cost_model, profiles, proxy=runtime.proxy,
                 plan_cache_entries=self.plan_cache_entries)
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
 
     def run(self, policy: str, queries: list[Query],
-            incremental: bool = True,
-            tracer=None, batching: BatchPolicy | None = None,
-            on_complete=None) -> tuple[list[Query], Engine]:
-        """Simulate one query stream; returns (completed, engine).
+            tracer=None) -> tuple[list[Query], Engine]:
+        """Serve one query stream on this stack's device.
 
-        ``incremental=False`` forces the engine's legacy
-        reprice-everything mode — useful only for A/B-verifying that the
-        incremental hot path leaves results unchanged.
-
-        ``tracer`` (a :class:`repro.telemetry.Tracer`) records the run's
-        block spans, query lifecycle spans, and scheduler decisions; the
-        default ``None`` keeps telemetry off and free, and results are
-        bit-identical either way.
-
-        ``batching`` enables engine-side dynamic batching
-        (:class:`repro.runtime.engine.BatchPolicy`); ``on_complete`` is
-        the engine's completion-hook seam.  Both default off, keeping
-        the legacy open-loop path untouched.
+        A single node is a one-node fleet: a ``round_robin``
+        :class:`~repro.cluster.fleet.Cluster` over ``homogeneous(1)``.
+        Returns the node's ``(completed, engine)``.  ``tracer`` (a
+        :class:`repro.telemetry.Tracer`) records the serve without
+        changing its results.
         """
-        engine = Engine(self.cost_model, price_cache=self.price_cache,
-                        incremental=incremental, tracer=tracer,
-                        batching=batching, on_complete=on_complete)
-        scheduler = self.make_scheduler(policy)
-        completed = engine.run(queries, scheduler)
-        return completed, engine
-
-    def report(self, policy: str, spec: WorkloadSpec, qps: float,
-               count: int, seed: int | None = None,
-               scenario=None, tracer=None) -> ServingReport:
-        """Generate a stream, simulate it, and summarise.
-
-        The default stream is the paper's stationary Poisson; a
-        ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
-        registered name) swaps in any trace-driven arrival shape at
-        mean rate ``qps``.  ``tracer`` records the run (see :meth:`run`);
-        the saved trace's ``summarize`` reproduces this report's
-        ``average_latency_s`` exactly.
-        """
-        queries = scenario_queries(
-            self.compiled, scenario, qps, count,
-            seed=self.seed if seed is None else seed, spec=spec)
-        completed, engine = self.run(policy, queries, tracer=tracer)
-        return summarize(completed, engine.metrics, qps)
+        # Imported here: repro.cluster sits above repro.serving.
+        from repro.cluster import Cluster, homogeneous
+        cluster = Cluster(self, homogeneous(1, device=self.cpu,
+                                            policy=policy),
+                          router="round_robin")
+        cluster.serve(queries, tracer=tracer)
+        engine = cluster.last_nodes[0].engine
+        return engine.completed, engine
 
     # ------------------------------------------------------------------
 

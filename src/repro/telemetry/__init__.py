@@ -2,8 +2,9 @@
 
 Entry points:
 
-- pass ``tracer=Tracer()`` to :meth:`ServingStack.run`/``report`` or
-  :meth:`Cluster.serve` to record a run (default ``None`` = off, free);
+- pass ``tracer=Tracer()`` to :meth:`ServingStack.run` or
+  :meth:`Cluster.serve`/``report`` to record a run (default ``None`` =
+  off, free);
 - ``tracer.save(path)`` writes the JSONL trace
   (schema ``repro.telemetry.trace/1``);
 - ``python -m repro.telemetry summarize|export|diff|validate`` works on

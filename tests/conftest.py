@@ -66,3 +66,10 @@ def light_stack():
     """Two light models for multi-model serving tests."""
     return ServingStack(models=["mobilenet_v2", "googlenet"], trials=96,
                         proxy_scenarios=60, seed=11)
+
+
+@pytest.fixture(scope="session")
+def chain_stack():
+    """The ``vision_pipeline`` chain's two models, small search budgets."""
+    return ServingStack(models=["ssd_resnet34", "resnet50"], trials=64,
+                        proxy_scenarios=60, seed=11)

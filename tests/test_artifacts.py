@@ -388,41 +388,51 @@ class TestServingStackStore:
                          use_proxy=False, artifact_store=None)
 
     def test_sweep_pool_forces_artifacts_before_fork(self):
+        from repro.cluster import homogeneous, sweep_cluster_qps
+        from repro.cluster.experiments import FleetSweep
         from repro.parallel import sweep_pool
-        from repro.serving.experiments import NodeSweep, sweep_qps
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              use_proxy=False, artifact_store=None)
         spec = single_model("mobilenet_v2")
-        point = NodeSweep(stack, "veltair_full", spec, 20, seed=7)
+        sweep = dict(router="round_robin", seed=7)
+        point = FleetSweep(stack, homogeneous(1), spec, 20, **sweep)
         assert stack.compiler.stats.layers_total == 0
         with sweep_pool(point, workers=2) as pool:
             # Compile + profiles happened in the parent, pre-fork, so
             # workers inherit them copy-on-write.
             assert stack.compiler.stats.layers_total > 0
             assert stack.profiles["mobilenet_v2"] is not None
-            reports = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
-                                count=20, seed=7, pool=pool)
-        serial = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
-                           count=20, seed=7)
+            reports = sweep_cluster_qps(stack, homogeneous(1), spec,
+                                        [50.0, 80.0], 20, pool=pool,
+                                        **sweep)
+        serial = sweep_cluster_qps(stack, homogeneous(1), spec,
+                                   [50.0, 80.0], 20, **sweep)
         assert [r.average_latency_s for r in reports] == [
             r.average_latency_s for r in serial]
 
     def test_sweep_pool_skips_proxy_fit_for_non_proxy_policies(self):
+        from repro.cluster import homogeneous
+        from repro.cluster.experiments import FleetSweep
         from repro.parallel import sweep_pool
-        from repro.serving.experiments import NodeSweep
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              proxy_scenarios=60, artifact_store=None)
         spec = single_model("mobilenet_v2")
-        with sweep_pool(NodeSweep(stack, "layerwise", spec, 10, seed=7),
-                        workers=2):
-            # layerwise never reads the proxy: the pre-fork warm-up
-            # must not pay the fit for it.
-            assert not stack._proxy_ready
-        with sweep_pool(NodeSweep(stack, "veltair_full", spec, 10, seed=7),
-                        workers=2):
-            assert stack._proxy_ready  # proxy-driven: fitted pre-fork
+
+        def point(policy):
+            return FleetSweep(stack, homogeneous(1, policy=policy), spec,
+                              10, router="round_robin", seed=7)
+
+        def proxy_fitted():  # the runtime's proxy is a cached property
+            return "proxy" in vars(stack.runtime_for())
+
+        with sweep_pool(point("layerwise"), workers=2):
+            # Neither layerwise nor round_robin reads the proxy: the
+            # pre-fork warm-up must not pay the fit for them.
+            assert not proxy_fitted()
+        with sweep_pool(point("veltair_full"), workers=2):
+            assert proxy_fitted()  # proxy-driven: fitted pre-fork
 
     def test_fork_pool_fails_soft_in_daemonic_worker(self):
         # Pool workers are daemonic and may not have children (Pool()

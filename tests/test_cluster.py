@@ -26,8 +26,7 @@ from repro.hardware.platform import (
 from repro.parallel import sweep, sweep_pool
 from repro.runtime.engine import Engine
 from repro.scheduling.veltair import VeltairScheduler
-from repro.serving.experiments import NodeSweep, capacity
-from repro.serving.server import ServingStack
+from repro.serving.metrics import max_qps_at_satisfaction, summarize
 from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.workloads import (
     ClosedLoopSpec,
@@ -443,8 +442,19 @@ class TestClusterExperiments:
                                   high_qps=160.0, tolerance_qps=80.0,
                                   seed=3)
         assert result.qps >= 20.0
+        assert result.passed and result.label == f"{result.qps:.0f}q"
         assert result.report.satisfaction_rate >= 0.8
         assert result.router == "pressure_aware"
+
+    def test_capacity_flags_a_failed_floor(self, light_stack):
+        result = cluster_capacity(light_stack, homogeneous(1), MIX,
+                                  count=40, router="round_robin",
+                                  low_qps=5000.0, high_qps=6000.0, seed=3)
+        # The floor itself misses the target: the search reports the
+        # floor, and the result says it is not a capacity.
+        assert result.qps == 5000.0
+        assert result.report.satisfaction_rate < result.target
+        assert not result.passed and result.label == "<floor"
 
 
 #: The 2:1 light mix of the single-node/one-node-fleet differential.
@@ -506,6 +516,15 @@ def _reference_stream(stack, stream, policy="veltair_full") -> list:
     return issued
 
 
+def _bare_report(stack, policy, qps):
+    """One bare engine serving the 60-query MIX_2_1 stream at ``qps``."""
+    queries = scenario_queries(stack.compiled, "poisson", qps, 60, seed=5,
+                               spec=MIX_2_1)
+    engine = Engine(stack.cost_model, price_cache=stack.price_cache)
+    return summarize(engine.run(queries, stack.make_scheduler(policy)),
+                     engine.metrics, qps)
+
+
 def _per_query(queries) -> list[tuple]:
     return sorted((q.query_id, -1 if q.stage is None else q.stage,
                    q.arrival_s, q.started_s, q.finished_s, q.core_seconds)
@@ -536,26 +555,24 @@ class TestOneNodeFleet:
         fleet = Cluster(light_stack, homogeneous(1, policy=policy),
                         router="round_robin")
         for qps in (100.0, 300.0):
-            node = light_stack.report(policy, MIX_2_1, qps, 60, seed=5)
+            node = _bare_report(light_stack, policy, qps)
             pooled = fleet.report(MIX_2_1, qps, 60, seed=5)
+            assert pooled.nodes[0].report == node
             assert pooled.satisfaction_rate == node.satisfaction_rate
             assert pooled.average_latency_s == node.average_latency_s
 
     def test_capacity_equals_single_node(self, light_stack):
-        search = dict(count=60, target=0.95, low_qps=20.0,
-                      high_qps=400.0, tolerance_qps=40.0, seed=5)
-        node = capacity(light_stack, "veltair_full", MIX_2_1, **search)
+        search = dict(target=0.95, low_qps=20.0, high_qps=400.0,
+                      tolerance_qps=40.0)
+        node_qps, node = max_qps_at_satisfaction(
+            lambda qps: _bare_report(light_stack, "veltair_full", qps),
+            **search)
         fleet = cluster_capacity(light_stack, homogeneous(1), MIX_2_1,
-                                 router="round_robin", **search)
-        assert node.report.satisfaction_rate >= 0.95  # a real pass
-        assert fleet.qps == node.qps
-
-
-@pytest.fixture(scope="module")
-def chain_stack():
-    """The ``vision_pipeline`` chain's two models, small search budgets."""
-    return ServingStack(models=["ssd_resnet34", "resnet50"], trials=64,
-                        proxy_scenarios=60, seed=11)
+                                 count=60, router="round_robin", seed=5,
+                                 **search)
+        assert node.satisfaction_rate >= 0.95  # a real pass
+        assert fleet.passed
+        assert fleet.qps == node_qps
 
 
 class TestCausalFleet:
@@ -582,8 +599,9 @@ class TestCausalFleet:
 
 def _sweep_point(stack, kind: str, seed: int, scenario=None):
     if kind == "node":
-        return NodeSweep(stack, "veltair_full", MIX, 30, seed=seed,
-                         scenario=scenario)
+        return FleetSweep(stack, homogeneous(1), MIX, 30,
+                          router="round_robin", seed=seed,
+                          scenario=scenario)
     return FleetSweep(stack, homogeneous(2), MIX, 30, seed=seed,
                       scenario=scenario)
 

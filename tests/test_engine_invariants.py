@@ -22,9 +22,9 @@ import sys
 
 import pytest
 
+from repro.cluster import cluster_capacity, homogeneous, sweep_cluster_qps
 from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
-from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
 from repro.serving.workload import WorkloadSpec, scenario_queries
 
@@ -44,6 +44,19 @@ def _assert_reports_equal(a, b, tolerance=1e-9):
             assert va == vb, f"{field.name}: {va!r} != {vb!r}"
 
 
+def _run_engine(stack, policy, queries, incremental):
+    engine = Engine(stack.cost_model, price_cache=stack.price_cache,
+                    incremental=incremental)
+    return engine.run(queries, stack.make_scheduler(policy)), engine
+
+
+def _node_sweep(stack, loads, count, **kwargs):
+    """One-node ``veltair_full`` reports over ``loads`` (DUO_SPEC)."""
+    return [report.nodes[0].report for report in sweep_cluster_qps(
+        stack, homogeneous(1), DUO_SPEC, loads, count,
+        router="round_robin", **kwargs)]
+
+
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("policy", ["layerwise", "veltair_full"])
     def test_reports_identical_before_after(self, light_stack, policy):
@@ -51,8 +64,8 @@ class TestIncrementalEquivalence:
         for incremental in (False, True):
             queries = scenario_queries(light_stack.compiled, "poisson", 400,
                                        120, seed=7, spec=DUO_SPEC)
-            completed, engine = light_stack.run(policy, queries,
-                                                incremental=incremental)
+            completed, engine = _run_engine(light_stack, policy, queries,
+                                            incremental)
             reports[incremental] = summarize(completed, engine.metrics,
                                              400)
         _assert_reports_equal(reports[False], reports[True])
@@ -62,8 +75,8 @@ class TestIncrementalEquivalence:
         for incremental in (False, True):
             queries = scenario_queries(light_stack.compiled, "poisson", 400,
                                        120, seed=7, spec=DUO_SPEC)
-            _, engine = light_stack.run("veltair_full", queries,
-                                        incremental=incremental)
+            _, engine = _run_engine(light_stack, "veltair_full", queries,
+                                    incremental)
             counts[incremental] = (engine.metrics.finish_events_pushed,
                                    engine.metrics.repricings)
         assert counts[True][0] < counts[False][0]
@@ -173,8 +186,7 @@ class TestSharedPricingCache:
 class TestSweepQps:
     def test_serial_matches_pointwise(self, light_stack):
         loads = [100.0, 250.0]
-        swept = sweep_qps(light_stack, "veltair_full", DUO_SPEC, loads,
-                          count=40, seed=9)
+        swept = _node_sweep(light_stack, loads, 40, seed=9)
         for qps, report in zip(loads, swept):
             queries = scenario_queries(light_stack.compiled, "poisson", qps,
                                        40, seed=9, spec=DUO_SPEC)
@@ -187,26 +199,24 @@ class TestSweepQps:
                         reason="fork start method unavailable")
     def test_parallel_matches_serial(self, light_stack):
         loads = [100.0, 200.0, 300.0, 400.0]
-        serial = sweep_qps(light_stack, "veltair_full", DUO_SPEC, loads,
-                           count=40, seed=9, workers=1)
-        parallel = sweep_qps(light_stack, "veltair_full", DUO_SPEC, loads,
-                             count=40, seed=9, workers=2)
+        serial = _node_sweep(light_stack, loads, 40, seed=9, workers=1)
+        parallel = _node_sweep(light_stack, loads, 40, seed=9, workers=2)
         for a, b in zip(serial, parallel):
             _assert_reports_equal(a, b, tolerance=0.0)
 
     def test_empty_sweep(self, light_stack):
-        assert sweep_qps(light_stack, "veltair_full", DUO_SPEC, [],
-                         count=10) == []
+        assert _node_sweep(light_stack, [], 10) == []
 
     def test_capacity_workers_unchanged_at_batch_one(self, light_stack):
-        serial = capacity(light_stack, "veltair_full", DUO_SPEC, count=40,
-                          low_qps=20.0, high_qps=400.0,
-                          tolerance_qps=50.0, seed=9)
-        explicit = capacity(light_stack, "veltair_full", DUO_SPEC,
-                            count=40, low_qps=20.0, high_qps=400.0,
-                            tolerance_qps=50.0, seed=9, workers=1)
+        search = dict(count=40, router="round_robin", low_qps=20.0,
+                      high_qps=400.0, tolerance_qps=50.0, seed=9)
+        serial = cluster_capacity(light_stack, homogeneous(1), DUO_SPEC,
+                                  **search)
+        explicit = cluster_capacity(light_stack, homogeneous(1), DUO_SPEC,
+                                    workers=1, **search)
         assert serial.qps == explicit.qps
-        _assert_reports_equal(serial.report, explicit.report,
+        _assert_reports_equal(serial.report.nodes[0].report,
+                              explicit.report.nodes[0].report,
                               tolerance=0.0)
 
 

@@ -1,10 +1,10 @@
 """Request-model tests: batching, completion hooks, pipelines, sessions.
 
-Covers the PR 10 surface end to end on the light two-model stack:
-engine-side dynamic batching (fusion mechanics, per-member attribution,
-and the batching-off bit-identity guarantee), the ``on_complete`` hook
-seam and :meth:`Engine.drain` ordering contract, pipeline hand-off on a
-single node and shed-stage-fails-pipeline on a guarded cluster,
+Covers the request-model surface end to end on the light two-model
+stack: engine-side dynamic batching (fusion mechanics, per-member
+attribution, batched pipelines and closed loops), the ``on_complete``
+hook seam and :meth:`Engine.drain` ordering contract, pipeline hand-off
+on a single node and shed-stage-fails-pipeline on a guarded cluster,
 closed-loop determinism (double-run and fork-pool), trace record/replay
 round-trips over realized feedback streams, the scenario registry's
 request-model entries, and the removal of the deprecated
@@ -15,22 +15,27 @@ import math
 
 import pytest
 
-from repro.cluster import AdmissionPolicy, Cluster, homogeneous
+from repro.cluster import (
+    AdmissionPolicy,
+    Cluster,
+    homogeneous,
+    sweep_cluster_qps,
+)
 from repro.models.layers import batched
 from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
-from repro.runtime.engine import BatchPolicy
+from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import batch_profile
 from repro.serving import WorkloadSpec
 from repro.serving.workload import scenario_queries
+from repro.telemetry import Tracer
 from repro.workloads import (
     SCENARIO_NAMES,
     ArrivalTrace,
     ClosedLoopSpec,
     ClosedLoopTenant,
     PipelineSpec,
-    RequestStream,
     ScenarioSpec,
     get_scenario,
     record_trace,
@@ -94,27 +99,17 @@ class TestBatchPolicy:
         with pytest.raises(ValueError, match="max_wait"):
             BatchPolicy(max_wait_s=-0.001)
 
-    def test_batching_off_is_bit_identical(self, light_stack):
-        queries = scenario_queries(light_stack.compiled, "poisson", 60.0, 40,
-                                   seed=13, spec=_MIX)
-        legacy, _ = light_stack.run("veltair_full", queries)
-        stream = RequestStream(
-            queries=scenario_queries(light_stack.compiled, "poisson", 60.0, 40,
-                                     seed=13, spec=_MIX))
-        cluster = _one_node(light_stack)
-        cluster.serve_stream(stream)
-        key = lambda qs: [(q.query_id, q.finished_s, q.core_seconds,
-                           q.blocks) for q in qs]
-        assert key(cluster.last_nodes[0].engine.completed) == key(legacy)
-
     def test_fusion_and_member_attribution(self, light_stack):
         queries = scenario_queries(light_stack.compiled, "poisson", 2000.0, 32,
                                    seed=5, spec=_MONO)
         for query in queries:
             query.qos_s *= 8.0
-        completed, engine = light_stack.run(
-            "veltair_full", queries,
-            batching=BatchPolicy(max_batch=4, max_wait_s=0.005))
+        cluster = Cluster(light_stack, homogeneous(
+            1, batching=BatchPolicy(max_batch=4, max_wait_s=0.005)),
+            router="round_robin")
+        cluster.serve(queries)
+        engine = cluster.last_nodes[0].engine
+        completed = engine.completed
         # Every member completes individually, with its own latency.
         assert len(completed) == 32
         assert sorted(q.query_id for q in completed) == list(range(32))
@@ -150,8 +145,9 @@ class TestOnCompleteAndDrain:
             seen.append((query.query_id, engine.now,
                          len(engine.completed)))
 
-        completed, engine = light_stack.run("veltair_full", queries,
-                                            on_complete=hook)
+        engine = Engine(light_stack.cost_model, on_complete=hook)
+        completed = engine.run(queries,
+                               light_stack.make_scheduler("veltair_full"))
         assert len(seen) == len(completed) == 24
         assert [qid for qid, _, _ in seen] == [q.query_id
                                                for q in completed]
@@ -176,8 +172,9 @@ class TestOnCompleteAndDrain:
                     arrival_s=engine.now,
                     qos_s=get_entry("mobilenet_v2").qos_s))
 
-        completed, _ = light_stack.run("veltair_full", queries,
-                                       on_complete=hook)
+        engine = Engine(light_stack.cost_model, on_complete=hook)
+        completed = engine.run(queries,
+                               light_stack.make_scheduler("veltair_full"))
         assert len(completed) == 13
         assert any(q.query_id == 10_000 for q in completed)
 
@@ -224,6 +221,61 @@ class TestPipelines:
                 for stage in pipeline.stages[pipeline.shed_stage:]:
                     assert stage.finished_s is None
         assert rollup.failed == sum(p.failed for p in stream.pipelines)
+
+
+class TestBatchedStreams:
+    """Request streams on a one-node fleet whose node batches."""
+
+    _BATCHING = BatchPolicy(max_batch=4, max_wait_s=0.005)
+
+    def _serve(self, stack, stream):
+        tracer = Tracer()
+        cluster = Cluster(stack, homogeneous(1, batching=self._BATCHING),
+                          router="round_robin")
+        report = cluster.serve_stream(stream, tracer=tracer)
+        fused = [event.args["size"] for event in tracer.trace().events(
+            "batch.close")]
+        return cluster, report, fused
+
+    @staticmethod
+    def _resolved_once(cluster, report) -> None:
+        """Every offered request completed exactly once (none is shed:
+        the fleet has no admission controller)."""
+        def ids(queries):
+            return sorted((q.query_id, q.stage or 0) for q in queries)
+
+        assert report.shed == 0
+        assert report.offered == len(cluster.last_offered)
+        assert ids(cluster.last_nodes[0].engine.completed) == \
+            ids(cluster.last_offered)
+
+    def test_batched_pipeline(self, chain_stack):
+        stream = get_scenario("vision_pipeline").stream(
+            chain_stack.compiled, qps=400.0, count=24, seed=3)
+        cluster, report, fused = self._serve(chain_stack, stream)
+        self._resolved_once(cluster, report)
+        assert max(fused) >= 2
+        assert report.pipelines.completed == 24
+        for pipeline in stream.pipelines:
+            assert pipeline.done and not pipeline.failed
+            for upstream, stage in zip(pipeline.stages,
+                                       pipeline.stages[1:]):
+                assert stage.arrival_s == upstream.finished_s
+
+    def test_batched_closed_loop(self, light_stack):
+        scenario = ScenarioSpec(
+            name="test-dense-loop", workload=_MONO,
+            closed_loop=ClosedLoopSpec(tenants=4, concurrency=4,
+                                       think_s=0.0))
+        stream = scenario.stream(light_stack.compiled, qps=0.0, count=48,
+                                 seed=11)
+        cluster, report, fused = self._serve(light_stack, stream)
+        self._resolved_once(cluster, report)
+        assert report.offered == 48
+        assert max(fused) >= 2
+        for session, tenant in zip(report.sessions, stream.tenants):
+            assert session.completed + session.shed == session.issued
+            assert tenant.remaining == 0
 
 
 class TestClosedLoop:
@@ -339,10 +391,10 @@ class TestScenarioRegistry:
                                      count=4, seed=1)
 
     def test_open_loop_sweeps_reject_request_model(self, light_stack):
-        from repro.serving.experiments import sweep_qps
         with pytest.raises(ValueError, match="request model"):
-            sweep_qps(light_stack, "veltair_full", _MIX, [10.0], count=4,
-                      scenario="agent_loop")
+            sweep_cluster_qps(light_stack, homogeneous(1), _MIX, [10.0],
+                              count=4, router="round_robin",
+                              scenario="agent_loop")
 
 
 class TestDeprecatedAliases:

@@ -13,10 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, homogeneous
+from repro.cluster import (
+    Cluster,
+    cluster_capacity,
+    homogeneous,
+    sweep_cluster_qps,
+)
 from repro.config import make_rng
 from repro.models.registry import get_entry
-from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
 from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.workloads import (
@@ -310,40 +314,46 @@ class TestTraceRoundTrip:
             ArrivalTrace(name="none", entries=())
 
 
+def _node_sweep(stack, loads, count, **kwargs):
+    """One-node ``veltair_full`` node reports over ``loads`` (_SPEC)."""
+    return [report.nodes[0].report for report in sweep_cluster_qps(
+        stack, homogeneous(1), _SPEC, loads, count, router="round_robin",
+        **kwargs)]
+
+
 class TestExperimentThreading:
     def test_sweep_default_equals_poisson_scenario(self, light_stack):
-        plain = sweep_qps(light_stack, "veltair_full", _SPEC,
-                          [100.0, 180.0], 100, seed=17)
-        scenario = sweep_qps(light_stack, "veltair_full", _SPEC,
-                             [100.0, 180.0], 100, seed=17,
-                             scenario="poisson")
+        plain = _node_sweep(light_stack, [100.0, 180.0], 100, seed=17)
+        scenario = _node_sweep(light_stack, [100.0, 180.0], 100, seed=17,
+                               scenario="poisson")
         assert plain == scenario
 
     def test_capacity_accepts_scenario_and_name(self, light_stack):
-        by_name = capacity(light_stack, "veltair_full", _SPEC, 80,
-                           tolerance_qps=60.0, low_qps=5.0,
-                           high_qps=300.0, seed=17, scenario="bursty")
-        by_spec = capacity(light_stack, "veltair_full", _SPEC, 80,
-                           tolerance_qps=60.0, low_qps=5.0,
-                           high_qps=300.0, seed=17,
-                           scenario=get_scenario("bursty"))
+        search = dict(router="round_robin", tolerance_qps=60.0,
+                      low_qps=5.0, high_qps=300.0, seed=17)
+        by_name = cluster_capacity(light_stack, homogeneous(1), _SPEC, 80,
+                                   scenario="bursty", **search)
+        by_spec = cluster_capacity(light_stack, homogeneous(1), _SPEC, 80,
+                                   scenario=get_scenario("bursty"),
+                                   **search)
         assert by_name.qps == by_spec.qps
 
     def test_scenario_excludes_uniform_flag(self, light_stack):
         # The uniform stream is the "uniform" scenario; the flag is gone.
         with pytest.raises(TypeError):
-            sweep_qps(light_stack, "veltair_full", _SPEC, [50.0], 50,
-                      uniform=True, scenario="poisson")
+            _node_sweep(light_stack, [50.0], 50, uniform=True,
+                        scenario="poisson")
 
     def test_stack_report_scenario(self, light_stack):
-        default = light_stack.report("veltair_full", _SPEC, 120.0, 100,
-                                     seed=17)
-        poisson = light_stack.report("veltair_full", _SPEC, 120.0, 100,
-                                     seed=17, scenario="poisson")
-        bursty = light_stack.report("veltair_full", _SPEC, 120.0, 100,
-                                    seed=17, scenario="bursty")
-        assert default == poisson
-        assert bursty != default
+        node = Cluster(light_stack, homogeneous(1), router="round_robin")
+
+        def report(**kwargs):
+            return node.report(_SPEC, 120.0, 100, seed=17,
+                               **kwargs).nodes[0].report
+
+        default = report()
+        assert default == report(scenario="poisson")
+        assert report(scenario="bursty") != default
 
     def test_cluster_report_scenario(self, light_stack):
         fleet = homogeneous(2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster, homogeneous
 from repro.runtime.engine import SimulationMetrics
 from repro.serving.metrics import max_qps_at_satisfaction, summarize
 from repro.serving.server import POLICIES
@@ -160,9 +161,9 @@ class TestServingStack:
             resnet_stack.make_scheduler("magic")
 
     def test_report_smoke(self, resnet_stack):
-        report = resnet_stack.report("veltair_full",
-                                     single_model("resnet50"),
-                                     qps=40, count=20)
+        report = Cluster(resnet_stack, homogeneous(1),
+                         router="round_robin").report(
+            single_model("resnet50"), qps=40, count=20)
         assert report.completed == 20
         assert report.satisfaction_rate > 0.9
 

@@ -40,12 +40,14 @@ MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
 @pytest.fixture(scope="module")
 def traced_run(light_stack):
     """One traced single-node serve + its untraced twin."""
+    def node_report(tracer=None):
+        node = Cluster(light_stack, homogeneous(1), router="round_robin")
+        return node.report(MIX, qps=300, count=80, seed=3,
+                           tracer=tracer).nodes[0].report
+
     tracer = Tracer(run_id="test-run", meta={"qps": 300.0})
-    report = light_stack.report("veltair_full", MIX, qps=300, count=80,
-                                seed=3, tracer=tracer)
-    report_off = light_stack.report("veltair_full", MIX, qps=300,
-                                    count=80, seed=3)
-    return tracer.trace(), report, report_off
+    report = node_report(tracer)
+    return tracer.trace(), report, node_report()
 
 
 class TestTracerCore:
