@@ -13,6 +13,9 @@ a high-QPS mixed workload:
 * **Cross-run pricing reuse** — a second sweep over the same engine
   configurations through the shared :class:`PricingCache` should barely
   touch the cost model at all (the QPS-bisection scenario).
+* **Cross-serve plan reuse** — the stack's node runtime keeps each
+  policy's planning memos, so that second sweep should plan every block
+  from memory (``warm_plan_misses_per_query`` = 0).
 
 Run standalone (the CI smoke test uses ``--quick``)::
 
@@ -50,6 +53,8 @@ class ModeResult:
     prices: int
     heap_peak: int
     stale_dropped: int
+    #: Planning-memo misses of this serve alone.
+    plan_misses: int
     wall_s: float
 
 
@@ -61,6 +66,7 @@ def _run_mode(stack: ServingStack, policy: str, spec: WorkloadSpec,
     engine = Engine(stack.cost_model, price_cache=cache,
                     incremental=incremental)
     scheduler = stack.make_scheduler(policy)
+    misses = scheduler.plan_misses
     start = time.perf_counter()
     completed = engine.run(queries, scheduler)
     wall = time.perf_counter() - start
@@ -72,6 +78,7 @@ def _run_mode(stack: ServingStack, policy: str, spec: WorkloadSpec,
         prices=m.prices_computed,
         heap_peak=m.heap_peak,
         stale_dropped=m.stale_events_dropped,
+        plan_misses=scheduler.plan_misses - misses,
         wall_s=wall,
     )
 
@@ -175,9 +182,13 @@ def main(argv: list[str] | None = None) -> int:
                      args.seed, True, shared)
     out(f"shared-cache rerun: prices/q {cold.prices / count:.2f} -> "
         f"{warm.prices / count:.2f} "
-        f"(hit rate {shared.hit_rate:.1%}, {len(shared)} entries)")
+        f"(hit rate {shared.hit_rate:.1%}, {len(shared)} entries); "
+        f"plan misses/q {cold.plan_misses / count:.2f} -> "
+        f"{warm.plan_misses / count:.2f}")
     if warm.prices > max(8, cold.prices // 10):
         failures.append("shared cache barely reused across runs")
+    if warm.plan_misses:
+        failures.append("planning memos did not outlive the serve")
 
     if not args.no_check:
         push_ratio, reprice_ratio = ratios["veltair_full"]
@@ -196,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             "reports_identical": 0.0 if any(
                 "diverged" in f for f in failures) else 1.0,
             "warm_prices_per_query": warm.prices / count,
+            "warm_plan_misses_per_query": warm.plan_misses / count,
             "incremental_sat": incr.report.satisfaction_rate,
             "cache_hit_rate": shared.hit_rate,
         }

@@ -12,6 +12,7 @@ from conftest import record
 
 from repro.models.registry import get_entry, model_names
 from repro.runtime.engine import Engine
+from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.workload import scenario_queries, single_model
 
 
@@ -44,7 +45,11 @@ def test_table2_models(stack, benchmark):
 
 
 def test_sec55_scheduler_overhead(stack, benchmark):
-    scheduler = stack.make_scheduler("veltair_full")
+    # Built directly, so its planning memos are private and start empty:
+    # ``make_scheduler`` would plan through the stack's runtime memos,
+    # which earlier benchmarks left warm, and time lookups instead.
+    scheduler = VeltairScheduler(stack.cost_model, stack.profiles,
+                                 proxy=stack.proxy)
     queries = scenario_queries(stack.compiled, "uniform", 100.0, 30,
                                spec=single_model("resnet50"))
     engine = Engine(stack.cost_model)

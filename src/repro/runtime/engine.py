@@ -24,7 +24,9 @@ QPS-with-95%-QoS evaluation lives in):
 * **Shared pricing cache** — pricing goes through a
   :class:`~repro.runtime.pricing.PricingCache` that the serving stack
   persists across runs and policies, so identical blocks recurring in a
-  QPS sweep skip the cost model entirely.
+  QPS sweep skip the cost model entirely.  Price keys carry a small int
+  standing for the block's version tuple (:attr:`RunningBlock.versions_id`),
+  interned by that cache when a plan is memoised or the block starts.
 
 The engine owns mechanics only (clock, events, core accounting, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
@@ -194,9 +196,6 @@ class Engine:
         self._access_sum = 0.0
         #: Stale finish events currently sitting in the heap.
         self._stale_finish = 0
-        #: Bumped on every running-set/core-grant mutation; schedulers
-        #: key co-location-dependent memos (e.g. thresholds) on this.
-        self.colocation_epoch = 0
         #: Bumped after each repricing round that changed any block.
         self.pressure_epoch = 0
         #: Arrival staging: sorted (time, seq, "arrival", query) records
@@ -298,11 +297,15 @@ class Engine:
 
     def start_block(self, query: Query, stop_layer: int, cores: int,
                     versions: tuple[Schedule, ...],
-                    desired_cores: int | None = None) -> int:
+                    desired_cores: int | None = None,
+                    versions_id: int | None = None) -> int:
         """Begin executing layers ``[query.next_layer, stop_layer)``.
 
         ``desired_cores`` marks a scheduling conflict: the policy wanted
         more than it could get and intends to grow later.
+        ``versions_id`` is ``versions`` already interned by this engine's
+        pricing cache (a memoised plan carries it); by default the
+        engine interns the tuple itself.
         """
         start_layer = query.next_layer
         if not start_layer < stop_layer <= len(query.model.layers):
@@ -315,7 +318,10 @@ class Engine:
 
         block = RunningBlock(
             task_id=task_id, query=query, start_layer=start_layer,
-            stop_layer=stop_layer, versions=versions, cores=cores,
+            stop_layer=stop_layer, versions=versions,
+            versions_id=(versions_id if versions_id is not None
+                         else self.price_cache.intern(versions)),
+            cores=cores,
             desired_cores=desired, started_s=self.now,
             last_update_s=self.now,
         )
@@ -335,7 +341,6 @@ class Engine:
                     qid=query.query_id,
                     args={"desired": desired, "granted": cores})
         self._needs_pricing.add(task_id)
-        self.colocation_epoch += 1
         self._dirty = True
         return task_id
 
@@ -361,7 +366,6 @@ class Engine:
                 qid=block.query.query_id,
                 args={"extra": extra_cores, "cores": block.cores})
         self._needs_pricing.add(task_id)
-        self.colocation_epoch += 1
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -372,7 +376,7 @@ class Engine:
         """Duration-weighted pressure contribution of a block's layers."""
         batch = block.query.batch
         key = ("pressure", block.query.model.name, block.start_layer,
-               block.stop_layer, block.versions, block.cores)
+               block.stop_layer, block.versions_id, block.cores)
         if batch > 1:
             # Appended only for fused batches so unbatched cache keys
             # stay byte-identical to the pre-batching ones.
@@ -419,7 +423,7 @@ class Engine:
         """(duration, miss lines/s, access lines/s) for a block execution."""
         batch = block.query.batch
         key = (block.query.model.name, block.start_layer, block.stop_layer,
-               block.versions, block.cores, pressure)
+               block.versions_id, block.cores, pressure)
         if batch > 1:
             key = key + (batch,)
         cached = self.price_cache.get(key)
@@ -551,7 +555,6 @@ class Engine:
                     self.on_complete(self, query)
         else:
             self.ready.append(query)
-        self.colocation_epoch += 1
         self._dirty = True
 
     def _complete_batch(self, batch: BatchQuery) -> None:

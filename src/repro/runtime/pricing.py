@@ -10,10 +10,12 @@ engine it builds, so a warm sweep eliminates most
 :func:`~repro.runtime.tasks.block_duration` calls entirely.
 
 The cache is content-addressed — keys embed the model name, layer range,
-version tuple, core count, and pressure quantum — so sharing it across
-runs and policies cannot change any result; a hit returns exactly what a
-recomputation would.  Keys do *not* embed the cost model or CPU spec,
-so a cache must never be shared across different cost models: the
+an interned id of the version tuple (:meth:`PricingCache.intern`), core
+count, and pressure quantum — so sharing it across runs and policies
+cannot change any result; a hit returns exactly what a recomputation
+would.  Ids are handed out by the cache itself, so they agree across
+every engine that shares it.  Keys do *not* embed the cost model or CPU
+spec, so a cache must never be shared across different cost models: the
 engine binds each cache to the first cost model that prices through it
 (:attr:`owner_token`) and rejects any other.  Eviction is batched FIFO:
 when full, the oldest eighth of the entries is dropped in one pass,
@@ -36,7 +38,7 @@ class PricingCache:
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions",
-                 "owner_token", "_data")
+                 "owner_token", "_data", "_ids")
 
     def __init__(self, max_entries: int = 1 << 18) -> None:
         if max_entries <= 0:
@@ -51,6 +53,19 @@ class PricingCache:
         #: would silently return another machine's prices).
         self.owner_token: object | None = None
         self._data: dict[Hashable, object] = {}
+        #: Interned keys (version tuples) -> small ints, see :meth:`intern`.
+        self._ids: dict[Hashable, int] = {}
+
+    def intern(self, key: Hashable) -> int:
+        """A small int standing for ``key`` in this cache's keys.
+
+        Equal keys get one id for the cache's whole life (ids are never
+        evicted or reused, and :meth:`clear` keeps them), so a running
+        block can key its prices on the id instead of rehashing a long
+        tuple of schedules on every lookup.
+        """
+        ids = self._ids
+        return ids.setdefault(key, len(ids))
 
     def get(self, key: Hashable):
         """Cached value for ``key``, or ``None`` on a miss."""

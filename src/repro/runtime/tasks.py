@@ -138,6 +138,9 @@ class RunningBlock:
     start_layer: int
     stop_layer: int
     versions: tuple[Schedule, ...]
+    #: ``versions`` interned by the engine's pricing cache; price keys
+    #: carry this instead of rehashing the tuple on every lookup.
+    versions_id: int
     cores: int
     #: Cores the scheduler actually wanted (conflict bookkeeping).
     desired_cores: int

@@ -13,7 +13,7 @@ and the code versions — which is exactly the design split of paper Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
@@ -23,15 +23,17 @@ from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
 
-#: Default bound for every planning memo a scheduler holds: the
-#: block-plan memo (dynamic blocks key it on (model, start layer, cap,
-#: pressure), fixed strides on (model, start, stop, cap); fused batches
-#: append the batch size) and the per-layer adaptive requirement memo
-#: keyed (signature, version, budget, pressure).  Plumbed through
-#: :class:`~repro.serving.server.ServingStack` as ``plan_cache_entries``
-#: so one knob bounds the whole stack's schedulers.  Keyspace size only
-#: affects recompute frequency, never results (entries are deterministic
-#: functions of their keys).
+#: Default bound for every planning memo: the block-plan memo (dynamic
+#: blocks key it on (model, start layer, cap, pressure), fixed strides on
+#: (model, start, stop, cap); fused batches append the batch size) and
+#: the per-layer adaptive requirement memo keyed (signature, version,
+#: budget, pressure).  A scheduler built directly holds private memos;
+#: one built by :meth:`~repro.serving.server.ServingStack.make_scheduler`
+#: plans through its node runtime's memos for that policy, which outlive
+#: the serve (see :meth:`SpatialScheduler.share_memos`).  Plumbed through
+#: the stack as ``plan_cache_entries``, so one knob bounds every memo.
+#: Keyspace size only affects recompute frequency, never results
+#: (entries are deterministic functions of their keys).
 DEFAULT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
@@ -154,12 +156,26 @@ def batch_profile(cost_model: CostModel, profile: ModelProfile,
 class BlockPlan:
     """A policy's decision for one dispatch.
 
-    The driver grants ``min(desired_cores, free cores)``.
+    The driver grants ``min(desired_cores, free cores)``.  A memoised
+    plan (:meth:`interned`) also carries ``versions`` interned by the
+    pricing cache of the engine it was planned on, so starting it again
+    skips rehashing the tuple; an engine pricing through another cache
+    interns the tuple itself.
     """
 
     stop_layer: int
     desired_cores: int
     versions: tuple[Schedule, ...]
+    versions_id: int | None = field(default=None, compare=False)
+    interner: PricingCache | None = field(default=None, compare=False,
+                                          repr=False)
+
+    @classmethod
+    def interned(cls, engine: Engine, stop_layer: int, desired_cores: int,
+                 versions: tuple[Schedule, ...]) -> "BlockPlan":
+        cache = engine.price_cache
+        return cls(stop_layer, desired_cores, versions,
+                   cache.intern(versions), cache)
 
 
 class SpatialScheduler:
@@ -201,15 +217,31 @@ class SpatialScheduler:
                  ) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
-        #: Batch-scaled profile variants, built on first use per
-        #: (model, batch) — fused batches are few and their sizes
+        #: Profiles resolved so far, keyed by model name (unit batch) or
+        #: (model, batch) for batch-scaled variants, so the hot lookup
+        #: is one dict probe.  Fused batches are few and their sizes
         #: bounded by ``BatchPolicy.max_batch``, so this stays tiny.
-        self._batch_profiles: dict[tuple[str, int], ModelProfile] = {}
+        self._resolved: dict[str | tuple[str, int], ModelProfile] = {}
         #: The planning memos (see DEFAULT_PLAN_CACHE_ENTRIES): whole
         #: block plans, and adaptive per-layer requirements.  Both are
         #: bounded because their keyspace grows with the stream.
         self._plan_cache = PricingCache(max_entries=plan_cache_entries)
         self._required_cache = PricingCache(max_entries=plan_cache_entries)
+
+    def share_memos(self, memos: tuple[PricingCache, PricingCache]) -> None:
+        """Plan through ``memos`` (plan memo, requirement memo).
+
+        Entries are pure functions of their keys plus the cost model,
+        the profiles and the planner class, so any scheduler of the same
+        class over the same cost model and profiles may share them — how
+        a node runtime keeps one policy's plans warm across serves.
+        """
+        self._plan_cache, self._required_cache = memos
+
+    @property
+    def plan_misses(self) -> int:
+        """Misses of the planning memos this scheduler plans through."""
+        return self._plan_cache.misses + self._required_cache.misses
 
     # -- policy hooks --------------------------------------------------------
 
@@ -229,19 +261,20 @@ class SpatialScheduler:
         return profile.layer_required_cores[index]
 
     def profile_for(self, query: Query) -> ModelProfile:
-        try:
-            profile = self.profiles[query.model.name]
-        except KeyError:
-            raise KeyError(f"no profile for model {query.model.name!r};"
-                           " build_profile() it first") from None
-        if query.batch <= 1:
-            return profile
-        key = (query.model.name, query.batch)
-        scaled = self._batch_profiles.get(key)
-        if scaled is None:
-            scaled = batch_profile(self.cost_model, profile, query.batch)
-            self._batch_profiles[key] = scaled
-        return scaled
+        name = query.model.name
+        key = name if query.batch <= 1 else (name, query.batch)
+        profile = self._resolved.get(key)
+        if profile is None:
+            try:
+                profile = self.profiles[name]
+            except KeyError:
+                raise KeyError(f"no profile for model {name!r};"
+                               " build_profile() it first") from None
+            if query.batch > 1:
+                profile = batch_profile(self.cost_model, profile,
+                                        query.batch)
+            self._resolved[key] = profile
+        return profile
 
     # -- driver ---------------------------------------------------------------
 
@@ -264,9 +297,12 @@ class SpatialScheduler:
                 query = queue.popleft()
                 if engine.tracer is not None:
                     self._trace_dispatch(engine, query, plan, take)
-                engine.start_block(query, plan.stop_layer, take,
-                                   plan.versions,
-                                   desired_cores=plan.desired_cores)
+                engine.start_block(
+                    query, plan.stop_layer, take, plan.versions,
+                    desired_cores=plan.desired_cores,
+                    versions_id=(plan.versions_id
+                                 if plan.interner is engine.price_cache
+                                 else None))
 
     def _trace_dispatch(self, engine: Engine, query: Query,
                         plan: BlockPlan, take: int) -> None:

@@ -33,33 +33,13 @@ from repro.scheduling.base import (
 class ProportionalThresholdPolicy:
     """Paper Sec. 4.3: distribute idle cores proportionally to ``Avg_C``.
 
-    The threshold only depends on the set of co-located queries and the
-    candidate's model, so results are memoised per engine co-location
-    epoch: within one epoch every same-model candidate reuses the value,
-    and any start/grow/finish bumps the epoch and drops the memo.
+    The threshold depends on the set of co-located queries and the
+    candidate's model, and the co-location set changes on nearly every
+    dispatch, so it is recomputed at each one.
     """
-
-    def __init__(self) -> None:
-        self._memo_epoch = -1
-        self._memo: dict[str, int] = {}
 
     def threshold_for(self, scheduler: "DynamicBlockScheduler",
                       engine: Engine, query: Query) -> int:
-        epoch = engine.colocation_epoch
-        if epoch != self._memo_epoch:
-            self._memo_epoch = epoch
-            self._memo.clear()
-        memo_key = (query.model.name if query.batch <= 1
-                    else (query.model.name, query.batch))
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        value = self._compute(scheduler, engine, query)
-        self._memo[memo_key] = value
-        return value
-
-    def _compute(self, scheduler: "DynamicBlockScheduler",
-                 engine: Engine, query: Query) -> int:
         profile = scheduler.profile_for(query)
         active_queries = {block.query.query_id: block.query
                           for block in engine.running.values()}
@@ -145,7 +125,7 @@ class DynamicBlockScheduler(SpatialScheduler):
                              for i in range(start, stop))
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
-            plan = BlockPlan(stop, block_required_cores(
+            plan = BlockPlan.interned(engine, stop, block_required_cores(
                 self.cost_model, query, start, stop, versions, budget,
                 interference=pressure, cap=cap), versions)
             self._plan_cache.put(key, plan)

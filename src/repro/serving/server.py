@@ -79,6 +79,10 @@ class NodeRuntime:
     a single warm pricing cache.  The proxy is fitted on first read:
     only the proxy-driven policies and the pressure-reading routers and
     admission controller ask for it.
+
+    The runtime also holds each policy's planning memos
+    (:meth:`planning_memos`), so every serve, sweep probe and fleet node
+    on this device plans through the same warm memos.
     """
 
     device: CpuSpec | DeviceSpec
@@ -87,10 +91,31 @@ class NodeRuntime:
     profiles: dict[str, ModelProfile]
     fit_proxy: Callable[[], LinearInterferenceProxy | None] = field(
         repr=False, compare=False)
+    #: Bound of each planning memo (the stack's ``plan_cache_entries``).
+    plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES
+    _memos: dict[str, tuple[PricingCache, PricingCache]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def device_kind(self) -> str:
         return getattr(self.device, "kind", "cpu")
+
+    def planning_memos(self, policy: str
+                       ) -> tuple[PricingCache, PricingCache]:
+        """``policy``'s (plan memo, requirement memo) on this device.
+
+        Memo entries are pure functions of their keys plus the cost
+        model, the profiles and the planner class.  The runtime fixes
+        the first two and the policy name the third, so one pair per
+        policy is safe to share for the runtime's whole life; policies
+        never share one (their planners differ).
+        """
+        memos = self._memos.get(policy)
+        if memos is None:
+            memos = self._memos[policy] = (
+                PricingCache(max_entries=self.plan_cache_entries),
+                PricingCache(max_entries=self.plan_cache_entries))
+        return memos
 
     @cached_property
     def proxy(self) -> LinearInterferenceProxy | None:
@@ -159,10 +184,11 @@ class ServingStack:
         #: warm cache eliminates most cost-model pricing calls.  Size is
         #: bounded by ``price_cache_entries`` (batched FIFO eviction).
         self.price_cache = PricingCache(max_entries=price_cache_entries)
-        #: Bound for the per-scheduler planning memos (required-core
-        #: lookups and whole dynamic-block plans); one knob for every
-        #: scheduler this stack builds, so long serve loops and cluster
-        #: sweeps hold their steady-state footprint.
+        #: Bound for every planning memo (required-core lookups and
+        #: whole block plans), held per device runtime and policy for
+        #: the stack's life; one knob for every scheduler this stack
+        #: builds, so long serve loops and cluster sweeps hold their
+        #: steady-state footprint.
         self.plan_cache_entries = plan_cache_entries
         if compile_workers is None:
             compile_workers = int(os.environ.get("REPRO_COMPILE_WORKERS",
@@ -290,7 +316,7 @@ class ServingStack:
                         for name, compiled in self.compiled.items()}
         runtime = NodeRuntime(
             device=cpu, cost_model=cost_model, price_cache=price_cache,
-            profiles=profiles,
+            profiles=profiles, plan_cache_entries=self.plan_cache_entries,
             # Fitted per device: the proxy reads chip-wide counter
             # magnitudes, which do not port across machine specs.
             fit_proxy=lambda: (self._fit_proxy(cost_model)
@@ -304,39 +330,34 @@ class ServingStack:
         ``runtime`` binds the policy to a per-node runtime (from
         :meth:`runtime_for`; default: the stack's own machine) — how a
         cluster builds one scheduler per node over shared artifacts.
+        The scheduler plans through the runtime's memos for ``policy``,
+        so its plans stay warm for every later scheduler of that policy.
         """
         runtime = runtime if runtime is not None else self.runtime_for()
-        cost_model, profiles = runtime.cost_model, runtime.profiles
-        if policy == "model_fcfs":
-            return ModelWiseFcfs(cost_model, profiles)
-        if policy == "layerwise":
-            return LayerWiseScheduler(cost_model, profiles)
+        args = (runtime.cost_model, runtime.profiles)
         if policy == "prema":
-            return PremaScheduler(cost_model, profiles)
-        if policy.startswith("block"):
-            size = int(policy.removeprefix("block"))
-            return FixedBlockScheduler(
-                cost_model, profiles, block_size=size,
-                plan_cache_entries=self.plan_cache_entries)
-        if policy == "veltair_as":
-            return DynamicBlockScheduler(
-                cost_model, profiles,
-                plan_cache_entries=self.plan_cache_entries)
-        if policy == "gacer":
-            return GacerScheduler(
-                cost_model, profiles,
-                plan_cache_entries=self.plan_cache_entries)
+            return PremaScheduler(*args)
+        if policy == "model_fcfs":
+            scheduler = ModelWiseFcfs(*args)
+        elif policy == "layerwise":
+            scheduler = LayerWiseScheduler(*args)
+        elif policy.startswith("block"):
+            scheduler = FixedBlockScheduler(
+                *args, block_size=int(policy.removeprefix("block")))
+        elif policy == "veltair_as":
+            scheduler = DynamicBlockScheduler(*args)
+        elif policy == "gacer":
+            scheduler = GacerScheduler(*args)
         # Only the proxy-driven policies read the proxy — referencing
         # ``runtime.proxy`` here would trigger the lazy fit for everyone.
-        if policy == "veltair_ac":
-            return AdaptiveCompilationOnly(
-                cost_model, profiles, proxy=runtime.proxy,
-                plan_cache_entries=self.plan_cache_entries)
-        if policy == "veltair_full":
-            return VeltairScheduler(
-                cost_model, profiles, proxy=runtime.proxy,
-                plan_cache_entries=self.plan_cache_entries)
-        raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+        elif policy == "veltair_ac":
+            scheduler = AdaptiveCompilationOnly(*args, proxy=runtime.proxy)
+        elif policy == "veltair_full":
+            scheduler = VeltairScheduler(*args, proxy=runtime.proxy)
+        else:
+            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+        scheduler.share_memos(runtime.planning_memos(policy))
+        return scheduler
 
     def run(self, policy: str, queries: list[Query],
             tracer=None) -> tuple[list[Query], Engine]:

@@ -1,18 +1,24 @@
-"""Planning-path memos: per-instance layer signatures, whole block plans.
+"""Planning-path memos: layer signatures, block plans, version ids.
 
-Both memos exist only to take key-building out of the simulation hot
+These memos exist only to take key-building out of the simulation hot
 path, so the contract tested here is that they are invisible: a memoised
 signature is the tuple a fresh computation gives and never leaks into
-layer identity, and a memoised block plan yields the same per-query
-timeline as recomputing every plan.
+layer identity, a memoised block plan yields the same per-query timeline
+as recomputing every plan, plans memoised on a node runtime by earlier
+serves change no later serve, and an interned version tuple prices the
+same in every engine sharing a pricing cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import pickle
 
 import pytest
 
+from repro.compiler.artifacts import ArtifactStore
+from repro.hardware.platform import EDGE_NODE_32
 from repro.models.layers import (
     BatchedLayer,
     Conv2D,
@@ -23,7 +29,11 @@ from repro.models.layers import (
 )
 from repro.models.registry import get_model, model_names
 from repro.runtime.engine import BatchPolicy, Engine
-from repro.serving.server import ServingStack
+from repro.runtime.pricing import PricingCache
+from repro.runtime.tasks import Query
+from repro.scheduling.base import SpatialScheduler
+from repro.scheduling.veltair import VeltairScheduler
+from repro.serving.server import POLICIES, ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
 
 _MIX = WorkloadSpec(name="memo-mix", entries=(("mobilenet_v2", 2.0),
@@ -160,3 +170,124 @@ class TestPlanMemoDifferential:
         # Fused batches planned under batch-suffixed keys.
         assert any(len(key) == 5
                    for key in memo_scheduler._plan_cache._data)
+
+
+@pytest.fixture(scope="module")
+def memo_store(tmp_path_factory):
+    """Compiled artifacts shared by this module's stacks (fast rebuilds)."""
+    return ArtifactStore(tmp_path_factory.mktemp("memo-store"))
+
+
+def _stack(store: ArtifactStore) -> ServingStack:
+    return ServingStack(models=["mobilenet_v2", "googlenet"], trials=64,
+                        proxy_scenarios=60, seed=11, artifact_store=store)
+
+
+def _runtime_serve(stack: ServingStack, policy: str, seed: int):
+    queries = scenario_queries(stack.compiled, "poisson", 400.0, 120,
+                               seed=seed, spec=_MIX)
+    done, engine = stack.run(policy, queries)
+    metrics = dataclasses.asdict(engine.metrics)
+    # Counts the shared pricing cache's misses: depends on its warmth.
+    del metrics["prices_computed"]
+    return sorted((q.query_id, q.started_s, q.finished_s, q.conflicts,
+                   q.grows, q.blocks, q.core_seconds) for q in done), metrics
+
+
+@pytest.fixture(scope="module")
+def warmed_stack(memo_store):
+    """A stack whose every policy already served another stream."""
+    stack = _stack(memo_store)
+    for policy in POLICIES:
+        _runtime_serve(stack, policy, seed=3)
+    return stack
+
+
+class TestRuntimeScopedMemos:
+    """Planning memos live on the node runtime, one pair per policy."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_warm_serve_equals_fresh_stack(self, memo_store, warmed_stack,
+                                           policy):
+        warm = _runtime_serve(warmed_stack, policy, seed=21)
+        fresh = _runtime_serve(_stack(memo_store), policy, seed=21)
+        assert warm == fresh
+        assert len(warm[0]) == 120
+
+    def test_warm_rerun_plans_from_memory(self, warmed_stack):
+        memos = warmed_stack.runtime_for().planning_memos("veltair_full")
+        before = sum(memo.misses for memo in memos)
+        hits = sum(memo.hits for memo in memos)
+        _runtime_serve(warmed_stack, "veltair_full", seed=3)
+        assert sum(memo.misses for memo in memos) == before
+        assert sum(memo.hits for memo in memos) > hits
+
+    def test_memos_are_per_policy_and_per_device(self, memo_store):
+        stack = ServingStack(models=["mobilenet_v2", "googlenet"],
+                             trials=64, use_proxy=False, seed=11,
+                             artifact_store=memo_store)
+        runtimes = (stack.runtime_for(), stack.runtime_for(EDGE_NODE_32))
+        memos = [memo for runtime in runtimes for policy in POLICIES
+                 for memo in runtime.planning_memos(policy)]
+        assert len(memos) == 2 * 2 * len(POLICIES)
+        assert all(a is not b for a, b in itertools.combinations(memos, 2))
+        for runtime in runtimes:
+            for policy in POLICIES:
+                pair = runtime.planning_memos(policy)
+                assert runtime.planning_memos(policy) is pair
+                scheduler = stack.make_scheduler(policy, runtime=runtime)
+                if isinstance(scheduler, SpatialScheduler):
+                    assert scheduler._plan_cache is pair[0]
+                    assert scheduler._required_cache is pair[1]
+
+
+class TestVersionInterning:
+    """Price keys carry version-tuple ids interned by the pricing cache."""
+
+    @staticmethod
+    def _start(engine: Engine, stack: ServingStack, versions, qid: int):
+        compiled = stack.compiled["mobilenet_v2"]
+        query = Query(query_id=qid, model=compiled, arrival_s=0.0,
+                      qos_s=compiled.qos_s)
+        return engine.running[engine.start_block(query, len(versions), 4,
+                                                 versions)]
+
+    def test_one_id_across_engines_sharing_a_cache(self, light_stack):
+        compiled = light_stack.compiled["mobilenet_v2"]
+        static = light_stack.profiles["mobilenet_v2"].static_versions[:3]
+        other = tuple(layer.versions[-1] for layer in compiled.layers[:3])
+        assert other != static
+        cache = PricingCache()
+        first = Engine(light_stack.cost_model, price_cache=cache)
+        second = Engine(light_stack.cost_model, price_cache=cache)
+        a = self._start(first, light_stack, static, qid=0)
+        # The second engine meets another tuple first: its ids must
+        # still agree with the first engine's, or its prices would be
+        # read from the other tuple's entries.
+        b_other = self._start(second, light_stack, other, qid=1)
+        b = self._start(second, light_stack, static, qid=2)
+        assert b.versions_id == a.versions_id != b_other.versions_id
+        private = Engine(light_stack.cost_model, price_cache=PricingCache())
+        reference = self._start(private, light_stack, other, qid=3)
+        assert b_other.pressure == reference.pressure
+        assert b.pressure == a.pressure
+
+    def test_memoised_plan_started_on_another_cache(self, light_stack):
+        """A memoised plan's id is used only with the cache that made it."""
+        scheduler = VeltairScheduler(light_stack.cost_model,
+                                     light_stack.profiles, proxy=None)
+        compiled = light_stack.compiled["mobilenet_v2"]
+        blocks = []
+        for cache in (PricingCache(), PricingCache()):
+            if blocks:
+                cache.intern(("another",))  # this cache's id 0 is taken
+            engine = Engine(light_stack.cost_model, price_cache=cache)
+            engine.begin([Query(query_id=0, model=compiled, arrival_s=0.0,
+                                qos_s=compiled.qos_s)], scheduler)
+            engine.run_until(0.0)
+            (block,) = engine.running.values()
+            assert block.versions_id == cache.intern(block.versions)
+            blocks.append(block)
+        # The second dispatch started the first one's memoised plan.
+        assert blocks[0].versions == blocks[1].versions
+        assert scheduler._plan_cache.hits > 0
