@@ -26,7 +26,7 @@ QPS-with-95%-QoS evaluation lives in):
   persists across runs and policies, so identical blocks recurring in a
   QPS sweep skip the cost model entirely.  Price keys carry a small int
   standing for the block's version tuple (:attr:`RunningBlock.versions_id`),
-  interned by that cache when a plan is memoised or the block starts.
+  interned by that cache when the block starts.
 
 The engine owns mechanics only (clock, events, core accounting, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
@@ -297,15 +297,11 @@ class Engine:
 
     def start_block(self, query: Query, stop_layer: int, cores: int,
                     versions: tuple[Schedule, ...],
-                    desired_cores: int | None = None,
-                    versions_id: int | None = None) -> int:
+                    desired_cores: int | None = None) -> int:
         """Begin executing layers ``[query.next_layer, stop_layer)``.
 
         ``desired_cores`` marks a scheduling conflict: the policy wanted
         more than it could get and intends to grow later.
-        ``versions_id`` is ``versions`` already interned by this engine's
-        pricing cache (a memoised plan carries it); by default the
-        engine interns the tuple itself.
         """
         start_layer = query.next_layer
         if not start_layer < stop_layer <= len(query.model.layers):
@@ -319,8 +315,7 @@ class Engine:
         block = RunningBlock(
             task_id=task_id, query=query, start_layer=start_layer,
             stop_layer=stop_layer, versions=versions,
-            versions_id=(versions_id if versions_id is not None
-                         else self.price_cache.intern(versions)),
+            versions_id=self.price_cache.intern(versions),
             cores=cores,
             desired_cores=desired, started_s=self.now,
             last_update_s=self.now,

@@ -62,7 +62,9 @@ class PricingCache:
         Equal keys get one id for the cache's whole life (ids are never
         evicted or reused, and :meth:`clear` keeps them), so a running
         block can key its prices on the id instead of rehashing a long
-        tuple of schedules on every lookup.
+        tuple of schedules on every lookup.  Interned keys are outside
+        ``max_entries``: they grow with the distinct version tuples
+        ever started, which the compiled libraries bound.
         """
         ids = self._ids
         return ids.setdefault(key, len(ids))

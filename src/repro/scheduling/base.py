@@ -13,7 +13,7 @@ and the code versions — which is exactly the design split of paper Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
@@ -156,26 +156,12 @@ def batch_profile(cost_model: CostModel, profile: ModelProfile,
 class BlockPlan:
     """A policy's decision for one dispatch.
 
-    The driver grants ``min(desired_cores, free cores)``.  A memoised
-    plan (:meth:`interned`) also carries ``versions`` interned by the
-    pricing cache of the engine it was planned on, so starting it again
-    skips rehashing the tuple; an engine pricing through another cache
-    interns the tuple itself.
+    The driver grants ``min(desired_cores, free cores)``.
     """
 
     stop_layer: int
     desired_cores: int
     versions: tuple[Schedule, ...]
-    versions_id: int | None = field(default=None, compare=False)
-    interner: PricingCache | None = field(default=None, compare=False,
-                                          repr=False)
-
-    @classmethod
-    def interned(cls, engine: Engine, stop_layer: int, desired_cores: int,
-                 versions: tuple[Schedule, ...]) -> "BlockPlan":
-        cache = engine.price_cache
-        return cls(stop_layer, desired_cores, versions,
-                   cache.intern(versions), cache)
 
 
 class SpatialScheduler:
@@ -297,12 +283,9 @@ class SpatialScheduler:
                 query = queue.popleft()
                 if engine.tracer is not None:
                     self._trace_dispatch(engine, query, plan, take)
-                engine.start_block(
-                    query, plan.stop_layer, take, plan.versions,
-                    desired_cores=plan.desired_cores,
-                    versions_id=(plan.versions_id
-                                 if plan.interner is engine.price_cache
-                                 else None))
+                engine.start_block(query, plan.stop_layer, take,
+                                   plan.versions,
+                                   desired_cores=plan.desired_cores)
 
     def _trace_dispatch(self, engine: Engine, query: Query,
                         plan: BlockPlan, take: int) -> None:

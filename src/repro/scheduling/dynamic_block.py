@@ -125,7 +125,7 @@ class DynamicBlockScheduler(SpatialScheduler):
                              for i in range(start, stop))
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
-            plan = BlockPlan.interned(engine, stop, block_required_cores(
+            plan = BlockPlan(stop, block_required_cores(
                 self.cost_model, query, start, stop, versions, budget,
                 interference=pressure, cap=cap), versions)
             self._plan_cache.put(key, plan)

@@ -67,7 +67,7 @@ class FixedBlockScheduler(SpatialScheduler):
             versions = profile.static_versions[start:stop]
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
-            plan = BlockPlan.interned(engine, stop, block_required_cores(
+            plan = BlockPlan(stop, block_required_cores(
                 self.cost_model, query, start, stop, versions, budget,
                 cap=cap), versions)
             self._plan_cache.put(key, plan)

@@ -82,7 +82,10 @@ class NodeRuntime:
 
     The runtime also holds each policy's planning memos
     (:meth:`planning_memos`), so every serve, sweep probe and fleet node
-    on this device plans through the same warm memos.
+    on this device plans through the same warm memos.  They live as long
+    as the runtime (so as long as its stack): each is bounded by the
+    stack's ``plan_cache_entries``, which is separate from its
+    ``price_cache_entries``.
     """
 
     device: CpuSpec | DeviceSpec
@@ -91,8 +94,6 @@ class NodeRuntime:
     profiles: dict[str, ModelProfile]
     fit_proxy: Callable[[], LinearInterferenceProxy | None] = field(
         repr=False, compare=False)
-    #: Bound of each planning memo (the stack's ``plan_cache_entries``).
-    plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES
     _memos: dict[str, tuple[PricingCache, PricingCache]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -100,9 +101,12 @@ class NodeRuntime:
     def device_kind(self) -> str:
         return getattr(self.device, "kind", "cpu")
 
-    def planning_memos(self, policy: str
+    def planning_memos(self, policy: str, max_entries: int
                        ) -> tuple[PricingCache, PricingCache]:
         """``policy``'s (plan memo, requirement memo) on this device.
+
+        The pair is made on first use, each memo bounded by
+        ``max_entries``; later calls return the same pair.
 
         Memo entries are pure functions of their keys plus the cost
         model, the profiles and the planner class.  The runtime fixes
@@ -113,8 +117,8 @@ class NodeRuntime:
         memos = self._memos.get(policy)
         if memos is None:
             memos = self._memos[policy] = (
-                PricingCache(max_entries=self.plan_cache_entries),
-                PricingCache(max_entries=self.plan_cache_entries))
+                PricingCache(max_entries=max_entries),
+                PricingCache(max_entries=max_entries))
         return memos
 
     @cached_property
@@ -182,13 +186,17 @@ class ServingStack:
         #: Block pricing memo shared by every engine this stack builds:
         #: identical blocks recur across the runs of a QPS sweep, so the
         #: warm cache eliminates most cost-model pricing calls.  Size is
-        #: bounded by ``price_cache_entries`` (batched FIFO eviction).
+        #: bounded by ``price_cache_entries`` (batched FIFO eviction);
+        #: the version-tuple ids it interns are not counted there and
+        #: live as long as the cache (see :meth:`PricingCache.intern`).
         self.price_cache = PricingCache(max_entries=price_cache_entries)
         #: Bound for every planning memo (required-core lookups and
         #: whole block plans), held per device runtime and policy for
-        #: the stack's life; one knob for every scheduler this stack
-        #: builds, so long serve loops and cluster sweeps hold their
-        #: steady-state footprint.
+        #: the stack's life, so a stack holds up to 2 memos x policies
+        #: served x device specs of this size on top of its pricing
+        #: caches; one knob for every scheduler this stack builds, so
+        #: long serve loops and cluster sweeps hold their steady-state
+        #: footprint.
         self.plan_cache_entries = plan_cache_entries
         if compile_workers is None:
             compile_workers = int(os.environ.get("REPRO_COMPILE_WORKERS",
@@ -316,7 +324,7 @@ class ServingStack:
                         for name, compiled in self.compiled.items()}
         runtime = NodeRuntime(
             device=cpu, cost_model=cost_model, price_cache=price_cache,
-            profiles=profiles, plan_cache_entries=self.plan_cache_entries,
+            profiles=profiles,
             # Fitted per device: the proxy reads chip-wide counter
             # magnitudes, which do not port across machine specs.
             fit_proxy=lambda: (self._fit_proxy(cost_model)
@@ -356,7 +364,8 @@ class ServingStack:
             scheduler = VeltairScheduler(*args, proxy=runtime.proxy)
         else:
             raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-        scheduler.share_memos(runtime.planning_memos(policy))
+        scheduler.share_memos(
+            runtime.planning_memos(policy, self.plan_cache_entries))
         return scheduler
 
     def run(self, policy: str, queries: list[Query],

@@ -215,7 +215,8 @@ class TestRuntimeScopedMemos:
         assert len(warm[0]) == 120
 
     def test_warm_rerun_plans_from_memory(self, warmed_stack):
-        memos = warmed_stack.runtime_for().planning_memos("veltair_full")
+        memos = warmed_stack.runtime_for().planning_memos(
+            "veltair_full", warmed_stack.plan_cache_entries)
         before = sum(memo.misses for memo in memos)
         hits = sum(memo.hits for memo in memos)
         _runtime_serve(warmed_stack, "veltair_full", seed=3)
@@ -227,14 +228,15 @@ class TestRuntimeScopedMemos:
                              trials=64, use_proxy=False, seed=11,
                              artifact_store=memo_store)
         runtimes = (stack.runtime_for(), stack.runtime_for(EDGE_NODE_32))
+        entries = stack.plan_cache_entries
         memos = [memo for runtime in runtimes for policy in POLICIES
-                 for memo in runtime.planning_memos(policy)]
+                 for memo in runtime.planning_memos(policy, entries)]
         assert len(memos) == 2 * 2 * len(POLICIES)
         assert all(a is not b for a, b in itertools.combinations(memos, 2))
         for runtime in runtimes:
             for policy in POLICIES:
-                pair = runtime.planning_memos(policy)
-                assert runtime.planning_memos(policy) is pair
+                pair = runtime.planning_memos(policy, entries)
+                assert runtime.planning_memos(policy, entries) is pair
                 scheduler = stack.make_scheduler(policy, runtime=runtime)
                 if isinstance(scheduler, SpatialScheduler):
                     assert scheduler._plan_cache is pair[0]
@@ -273,7 +275,7 @@ class TestVersionInterning:
         assert b.pressure == a.pressure
 
     def test_memoised_plan_started_on_another_cache(self, light_stack):
-        """A memoised plan's id is used only with the cache that made it."""
+        """A memoised plan started on another cache gets that cache's id."""
         scheduler = VeltairScheduler(light_stack.cost_model,
                                      light_stack.profiles, proxy=None)
         compiled = light_stack.compiled["mobilenet_v2"]
