@@ -122,12 +122,6 @@ class CostModelParams:
     pressure_bw_weight: float = 0.2
 
 
-def _core_grid(total_cores: int) -> list[int]:
-    """Geometric-ish probe points for U-shaped latency-vs-cores curves."""
-    grid = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48]
-    return [c for c in grid if c < total_cores] + [total_cores]
-
-
 @dataclass(frozen=True)
 class _Profile:
     """Schedule-derived quantities shared by latency and counter math."""
@@ -144,17 +138,16 @@ class CostModel:
     """Latency and traffic model bound to one device platform.
 
     ``cpu`` accepts any :class:`DeviceSpec`; the attribute keeps its
-    historical name because every consumer reads ``cost_model.cpu``
-    (``device`` is an alias).  Contention constants are resolved once at
-    construction: the CPU kind reads them from :class:`CostModelParams`
-    (whose field set is frozen into the artifact key schema), the
-    accelerator kind from its own spec fields.
+    historical name because every consumer reads ``cost_model.cpu``.
+    Contention constants are resolved once at construction: the CPU kind
+    reads them from :class:`CostModelParams` (whose field set is frozen
+    into the artifact key schema), the accelerator kind from its own
+    spec fields.
     """
 
     def __init__(self, cpu: CpuSpec | DeviceSpec,
                  params: CostModelParams | None = None) -> None:
         self.cpu = cpu
-        self.device = cpu
         self.kind = getattr(cpu, "kind", "cpu")
         self.params = params or CostModelParams()
         self._memo: dict[tuple, CostBreakdown] = {}
@@ -188,7 +181,7 @@ class CostModel:
         Every per-layer launch charge goes through here.
         """
         if self._accel:
-            return self.device.kernel_launch_s
+            return self.cpu.kernel_launch_s
         return self.params.layer_launch_s
 
     # ------------------------------------------------------------------
@@ -201,7 +194,7 @@ class CostModel:
         # On the accelerator the lane count is the warp width: all
         # ``simt_lanes`` lanes execute in lockstep, so skinny extents
         # waste lanes regardless of the schedule's CPU vector width.
-        lanes = (self.device.simt_lanes if self._accel
+        lanes = (self.cpu.simt_lanes if self._accel
                  else schedule.vector_lanes)
         # Vectorize along N when it is wide enough, else along M
         # (element-wise and depthwise layers have N == 1).
@@ -263,8 +256,8 @@ class CostModel:
             # hide latency, so kernels exposing few parallel chunks per
             # SM run well below peak — the batch-friendly throughput
             # curve that makes skinny low-batch layers a poor fit.
-            occ = min(1.0, chunks / (cores_used * self.device.occupancy_ramp))
-            floor = self.device.min_occupancy_rate
+            occ = min(1.0, chunks / (cores_used * self.cpu.occupancy_ramp))
+            floor = self.cpu.min_occupancy_rate
             compute_s /= floor + (1.0 - floor) * occ
 
         compulsory = float(layer.data_bytes)
@@ -383,7 +376,7 @@ class CostModel:
         thread, but grows slower with the grant width.
         """
         if self._accel:
-            return self.device.stream_launch_s + 1.0e-6 * max(0, cores)
+            return self.cpu.stream_launch_s + 1.0e-6 * max(0, cores)
         return 15e-6 + 1.2e-6 * max(0, cores)
 
     def expand_overhead(self, extra_cores: int) -> float:
@@ -394,34 +387,6 @@ class CostModel:
         re-partitioned and fresh threads spawned mid-kernel.
         """
         return self.cpu.thread_spawn_s * max(0, extra_cores)
-
-    # ------------------------------------------------------------------
-    # derived planning helpers
-    # ------------------------------------------------------------------
-
-    def required_cores(self, layer: LayerSpec, schedule: Schedule,
-                       budget_s: float,
-                       interference: float = 0.0) -> int | None:
-        """Minimal cores meeting a latency budget, or ``None`` if impossible.
-
-        Latency over cores is U-shaped (scaling gains vs synchronisation
-        tax), so a geometric grid is probed first and the earliest
-        feasible grid point refined backwards linearly.
-        """
-        if budget_s <= 0:
-            return None
-        grid = _core_grid(self.cpu.cores)
-        previous = 1
-        for cores in grid:
-            if self.latency(layer, schedule, cores,
-                            interference) <= budget_s:
-                for candidate in range(previous, cores):
-                    if self.latency(layer, schedule, candidate,
-                                    interference) <= budget_s:
-                        return candidate
-                return cores
-            previous = cores
-        return None
 
     def llc_occupancy(self, layer: LayerSpec, schedule: Schedule,
                       cores: int) -> float:

@@ -50,15 +50,15 @@ from typing import Protocol
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.schedule import Schedule
-from repro.models.layers import batched
 from repro.runtime.allocator import CoreAllocator
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import (
     BatchQuery,
     Query,
     RunningBlock,
-    block_duration,
     fuse_batch,
+    unit_duration,
+    unit_layers,
 )
 
 #: Default pressure quantisation step.  Pricing happens at quantized
@@ -379,13 +379,11 @@ class Engine:
         cached = self.price_cache.get(key)
         if cached is not None:
             return cached
-        layers = block.query.model.graph.layers
+        layers = unit_layers(block.query, block.start_layer,
+                             block.stop_layer)
         total_time = 0.0
         weighted = 0.0
-        for offset, index in enumerate(range(block.start_layer,
-                                             block.stop_layer)):
-            layer = batched(layers[index], batch)
-            version = block.versions[offset]
+        for layer, version in zip(layers, block.versions):
             iso = self.cost_model.latency(layer, version, block.cores, 0.0)
             contribution = self.cost_model.pressure_contribution(
                 layer, version, block.cores)
@@ -425,17 +423,15 @@ class Engine:
         if cached is not None:
             return cached
         self.metrics.prices_computed += 1
-        duration = block_duration(
-            self.cost_model, block.query, block.start_layer,
-            block.stop_layer, block.versions, block.cores, pressure)
-        layers = block.query.model.graph.layers
+        layers = unit_layers(block.query, block.start_layer,
+                             block.stop_layer)
+        duration = unit_duration(self.cost_model, layers, block.versions,
+                                 block.cores, pressure)
         misses = 0.0
         accesses = 0.0
-        for offset, index in enumerate(range(block.start_layer,
-                                             block.stop_layer)):
-            execution = self.cost_model.execution(
-                batched(layers[index], batch), block.versions[offset],
-                block.cores, pressure)
+        for layer, version in zip(layers, block.versions):
+            execution = self.cost_model.execution(layer, version,
+                                                  block.cores, pressure)
             misses += execution.dram_line_misses
             accesses += execution.llc_line_accesses
         priced = (duration, misses / duration, accesses / duration)
@@ -472,7 +468,7 @@ class Engine:
         self.metrics.repricings += 1
         self.metrics.finish_events_pushed += 1
 
-    def _reprice_dirty(self, scheduler: Scheduler | None = None) -> None:
+    def _reprice_dirty(self) -> None:
         """Re-price blocks whose quantized excluded pressure changed.
 
         In incremental mode a block keeps its rate and its scheduled
@@ -855,7 +851,7 @@ class Engine:
                     "scheduler deadlock: pending queries with an idle "
                     "machine and no future events")
             if self._dirty:
-                self._reprice_dirty(scheduler)
+                self._reprice_dirty()
         if (resumable and self.metrics.first_event_s is not None
                 and horizon_s is not None and horizon_s > self.now):
             self._advance(horizon_s)

@@ -7,7 +7,7 @@ bisection alone re-simulates the same stream a dozen times.  The engine
 therefore prices through a :class:`PricingCache` that the
 :class:`~repro.serving.server.ServingStack` owns and shares across every
 engine it builds, so a warm sweep eliminates most
-:func:`~repro.runtime.tasks.block_duration` calls entirely.
+:func:`~repro.runtime.tasks.unit_duration` calls entirely.
 
 The cache is content-addressed — keys embed the model name, layer range,
 an interned id of the version tuple (:meth:`PricingCache.intern`), core

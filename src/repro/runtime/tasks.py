@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
 from repro.compiler.schedule import Schedule
-from repro.models.layers import batched
+from repro.models.layers import LayerSpec, batched
 
 
 @dataclass
@@ -67,30 +68,37 @@ class Query:
         return self.finished_s is not None and self.latency_s <= self.qos_s
 
 
-def block_duration(cost_model: CostModel, query: Query, start: int,
-                   stop: int, versions: tuple[Schedule, ...], cores: int,
-                   interference: float) -> float:
-    """Execution time of layers ``[start, stop)`` as one scheduling unit.
+def unit_layers(query: Query, start: int,
+                stop: int) -> tuple[LayerSpec, ...]:
+    """Layer shapes ``[start, stop)`` of ``query`` as they execute.
 
-    One parallel-region spawn for the block, then each layer's kernel with
-    its selected version, plus the fixed per-kernel launch cost.
-
-    A fused batch (``query.batch`` > 1) prices each layer at its
-    batch-folded GEMM shape (:func:`repro.models.layers.batched`) while
-    paying the spawn and per-kernel launch overheads *once* for the
-    whole batch — the amortisation that makes dynamic batching pay.
+    A fused batch (``query.batch`` > 1) runs each layer at its
+    batch-folded GEMM shape (:func:`repro.models.layers.batched`).
     """
     if not 0 <= start < stop <= len(query.model.layers):
         raise ValueError(f"bad block range [{start}, {stop})")
-    if len(versions) != stop - start:
+    graph_layers = query.model.graph.layers
+    return tuple(batched(graph_layers[index], query.batch)
+                 for index in range(start, stop))
+
+
+def unit_duration(cost_model: CostModel, layers: Sequence[LayerSpec],
+                  versions: Sequence[Schedule], cores: int,
+                  interference: float) -> float:
+    """Execution time of ``layers`` as one scheduling unit.
+
+    One parallel-region spawn for the unit, then each layer's kernel with
+    its selected version, plus the fixed per-kernel launch cost.  Every
+    unit is priced here: a layer, a block, a fused batch (its batched
+    shapes pay the spawn and launches *once* for the whole batch — the
+    amortisation that makes dynamic batching pay) and a whole model.
+    """
+    if len(versions) != len(layers):
         raise ValueError("one version per layer required")
     launch = cost_model.launch_s
     total = cost_model.spawn_overhead(cores)
-    graph_layers = query.model.graph.layers
-    batch = query.batch
-    for offset, layer_index in enumerate(range(start, stop)):
-        layer = batched(graph_layers[layer_index], batch)
-        total += cost_model.latency(layer, versions[offset], cores,
+    for layer, version in zip(layers, versions):
+        total += cost_model.latency(layer, version, cores,
                                     interference) + launch
     return total
 

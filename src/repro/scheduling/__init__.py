@@ -6,6 +6,8 @@ from repro.scheduling.base import (
     SpatialScheduler,
     block_required_cores,
     build_profile,
+    layer_required_cores,
+    min_cores,
 )
 from repro.scheduling.dynamic_block import (
     DynamicBlockScheduler,
@@ -23,7 +25,8 @@ from repro.scheduling.veltair import AdaptiveCompilation, VeltairScheduler
 
 __all__ = [
     "BlockPlan", "ModelProfile", "SpatialScheduler",
-    "block_required_cores", "build_profile",
+    "block_required_cores", "build_profile", "layer_required_cores",
+    "min_cores",
     "DynamicBlockScheduler", "ProportionalThresholdPolicy",
     "ModelWiseFcfs", "FixedBlockScheduler", "GacerScheduler",
     "AdaptiveCompilationOnly", "LayerWiseScheduler",

@@ -4,6 +4,9 @@ Every policy consumes a :class:`ModelProfile` — the offline-profiled facts
 the paper's schedulers rely on: per-layer latency budgets, per-layer
 minimal core requirements (under the static code version), and the
 model-granularity average core count ``Avg_C`` used by Alg. 2/3.
+Every core requirement — a layer's, a block's, a whole model's — comes
+from one core-count search, :func:`min_cores`, through its two shapes
+:func:`layer_required_cores` and :func:`block_required_cores`.
 
 :class:`SpatialScheduler` implements the shared dispatch mechanics (FCFS
 over continuing-then-new queries, conflict accounting, grow-on-free); the
@@ -13,6 +16,7 @@ and the code versions — which is exactly the design split of paper Fig. 8.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.compiler.costmodel import CostModel
@@ -21,7 +25,7 @@ from repro.compiler.schedule import Schedule
 from repro.models.layers import LayerSpec, batched
 from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
-from repro.runtime.tasks import Query, block_duration
+from repro.runtime.tasks import Query, unit_duration
 
 #: Default bound for every planning memo: the block-plan memo (dynamic
 #: blocks key it on (model, start layer, cap, pressure), fixed strides on
@@ -77,10 +81,8 @@ def build_profile(cost_model: CostModel, compiled: CompiledModel,
         # Provision slightly below the budget: running every layer exactly
         # at its budget edge leaves no room for queueing or interference
         # jitter, which no deployed allocator would do.
-        cores = cost_model.required_cores(layer, version,
-                                          max(budget * 0.85 - launch, 1e-7))
-        if cores is None:
-            cores = cost_model.cpu.cores
+        cores = layer_required_cores(cost_model, layer, version,
+                                     budget * 0.85)
         required.append(cores)
         durations.append(cost_model.latency(layer, version, cores, 0.0)
                          + launch)
@@ -99,34 +101,10 @@ def build_profile(cost_model: CostModel, compiled: CompiledModel,
         avg_cores=max(1, round(weighted / total_time)),
         # Align with the layer-budget margin; a batch-B unit owns B
         # queries' worth of the deadline.
-        model_cores=_model_required_cores(cost_model, layers, versions,
-                                          compiled.qos_s * 0.85 * batch),
+        model_cores=block_required_cores(cost_model, layers, versions,
+                                         compiled.qos_s * 0.85 * batch),
         isolated_service_s=total_time,
     )
-
-
-def _model_required_cores(cost_model: CostModel,
-                          layers: tuple[LayerSpec, ...],
-                          versions: tuple[Schedule, ...],
-                          target: float) -> int:
-    """Minimal fixed core count for the whole model to finish by ``target``."""
-    launch = cost_model.launch_s
-
-    def model_latency(cores: int) -> float:
-        total = cost_model.spawn_overhead(cores)
-        for layer, version in zip(layers, versions):
-            total += cost_model.latency(layer, version, cores, 0.0) + launch
-        return total
-
-    cores = 1
-    while cores < cost_model.cpu.cores and model_latency(cores) > target:
-        cores *= 2
-    cores = min(cores, cost_model.cpu.cores)
-    lower = max(1, cores // 2)
-    for candidate in range(lower, cores + 1):
-        if model_latency(candidate) <= target:
-            return candidate
-    return cores
 
 
 def batch_profile(cost_model: CostModel, profile: ModelProfile,
@@ -198,9 +176,7 @@ class SpatialScheduler:
     traces_planning_pressure = False
 
     def __init__(self, cost_model: CostModel,
-                 profiles: dict[str, ModelProfile],
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
+                 profiles: dict[str, ModelProfile]) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
         #: Profiles resolved so far, keyed by model name (unit batch) or
@@ -211,8 +187,10 @@ class SpatialScheduler:
         #: The planning memos (see DEFAULT_PLAN_CACHE_ENTRIES): whole
         #: block plans, and adaptive per-layer requirements.  Both are
         #: bounded because their keyspace grows with the stream.
-        self._plan_cache = PricingCache(max_entries=plan_cache_entries)
-        self._required_cache = PricingCache(max_entries=plan_cache_entries)
+        self._plan_cache = PricingCache(
+            max_entries=DEFAULT_PLAN_CACHE_ENTRIES)
+        self._required_cache = PricingCache(
+            max_entries=DEFAULT_PLAN_CACHE_ENTRIES)
 
     def share_memos(self, memos: tuple[PricingCache, PricingCache]) -> None:
         """Plan through ``memos`` (plan memo, requirement memo).
@@ -330,36 +308,72 @@ class SpatialScheduler:
             engine.grow_block(block.task_id, extra)
 
 
-def block_required_cores(cost_model: CostModel, query: Query, start: int,
-                         stop: int, versions: tuple[Schedule, ...],
-                         budget_s: float, interference: float = 0.0,
-                         cap: int | None = None) -> int:
-    """Minimal cores so the block finishes within ``budget_s``.
+#: Probe points of the core-count search: latency over cores is U-shaped
+#: (scaling gains against the synchronisation tax), so a geometric grid
+#: finds the feasible region with few probes.
+_CORE_GRID = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
 
-    Mirrors :meth:`CostModel.required_cores` at block granularity (spawn
-    and launch overheads included), never exceeding ``cap`` (default:
-    the machine size).  When no count up to the cap meets the budget,
-    the grid point with the lowest block latency is returned — the
-    scheduler then runs the block as fast as it can within the cap.
+
+def min_cores(duration: Callable[[int], float], budget_s: float,
+              limit: int) -> tuple[int, bool]:
+    """Fewest cores in ``[1, limit]`` whose ``duration`` meets ``budget_s``.
+
+    The one core-count search behind every grant (paper Alg. 2/3 size a
+    layer, a block or a whole model the same way).  The grid below
+    ``limit``, then ``limit`` itself, is probed in order, and the first
+    feasible grid point is refined backwards: the result is the first
+    feasible count after the previous grid point.  Returns
+    ``(cores, True)``, or ``(cores, False)`` with the latency-minimising
+    grid point (the smallest on a tie) when no grid point fits.
+    """
+    grid = [c for c in _CORE_GRID if c < limit] + [limit]
+    probes = []
+    previous = 0
+    for cores in grid:
+        seconds = duration(cores)
+        if seconds <= budget_s:
+            for candidate in range(previous + 1, cores):
+                if duration(candidate) <= budget_s:
+                    return candidate, True
+            return cores, True
+        probes.append((seconds, cores))
+        previous = cores
+    return min(probes)[1], False
+
+
+def layer_required_cores(cost_model: CostModel, layer: LayerSpec,
+                         version: Schedule, budget_s: float,
+                         interference: float = 0.0) -> int:
+    """Fewest cores for one layer's kernel to meet ``budget_s``.
+
+    Sizes the kernel alone against the budget less one launch, with no
+    spawn, and grants the whole device when no count fits.  The engine
+    charges every unit a spawn, so these grants can overrun their budget
+    (ROADMAP, "Make Fig. 12 reproduce").
+    """
+    budget = max(budget_s - cost_model.launch_s, 1e-7)
+    cores, met = min_cores(
+        lambda c: cost_model.latency(layer, version, c, interference),
+        budget, cost_model.cpu.cores)
+    return cores if met else cost_model.cpu.cores
+
+
+def block_required_cores(cost_model: CostModel,
+                         layers: Sequence[LayerSpec],
+                         versions: Sequence[Schedule], budget_s: float,
+                         interference: float = 0.0,
+                         cap: int | None = None) -> int:
+    """Fewest cores so ``layers`` run as one unit within ``budget_s``.
+
+    The unit is priced as the engine charges it (:func:`unit_duration`:
+    spawn and launches included), never above ``cap`` (default: the
+    device size).  When no count up to the cap fits, the grant is the
+    latency-minimising grid point: the unit then runs as fast as it can.
     """
     limit = cap if cap is not None else cost_model.cpu.cores
     limit = max(1, min(limit, cost_model.cpu.cores))
-
-    def duration(cores: int) -> float:
-        return block_duration(cost_model, query, start, stop, versions,
-                              cores, interference)
-
-    # Latency over cores is U-shaped (sync tax), so probe a geometric
-    # grid and refine the first feasible point backwards.
-    grid = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
-            if c < limit] + [limit]
-    previous = 1
-    for cores in grid:
-        if duration(cores) <= budget_s:
-            for candidate in range(previous, cores):
-                if duration(candidate) <= budget_s:
-                    return candidate
-            return cores
-        previous = cores
-    # Infeasible under the cap: run at the latency-minimising grid point.
-    return min(grid, key=duration)
+    cores, _ = min_cores(
+        lambda c: unit_duration(cost_model, layers, versions, c,
+                                interference),
+        budget_s, limit)
+    return cores

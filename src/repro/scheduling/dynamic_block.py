@@ -21,9 +21,8 @@ with the adaptive-compilation mixin on top it is VELTAIR-FULL
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.tasks import Query
+from repro.runtime.tasks import Query, unit_layers
 from repro.scheduling.base import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
     BlockPlan,
     SpatialScheduler,
     block_required_cores,
@@ -67,9 +66,8 @@ class DynamicBlockScheduler(SpatialScheduler):
 
     def __init__(self, cost_model, profiles,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
                  ) -> None:
-        super().__init__(cost_model, profiles, plan_cache_entries)
+        super().__init__(cost_model, profiles)
         self.threshold_policy = (threshold_policy
                                  or ProportionalThresholdPolicy())
 
@@ -126,7 +124,7 @@ class DynamicBlockScheduler(SpatialScheduler):
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
             plan = BlockPlan(stop, block_required_cores(
-                self.cost_model, query, start, stop, versions, budget,
-                interference=pressure, cap=cap), versions)
+                self.cost_model, unit_layers(query, start, stop), versions,
+                budget, interference=pressure, cap=cap), versions)
             self._plan_cache.put(key, plan)
         return plan

@@ -13,9 +13,8 @@ which varies the stride and the per-block cap with its concurrency.
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.tasks import Query
+from repro.runtime.tasks import Query, unit_layers
 from repro.scheduling.base import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
     BlockPlan,
     SpatialScheduler,
     block_required_cores,
@@ -30,12 +29,10 @@ class FixedBlockScheduler(SpatialScheduler):
     #: Fraction of the block's summed layer budgets its grant targets.
     budget_headroom = 1.0
 
-    def __init__(self, cost_model, profiles, block_size: int,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
+    def __init__(self, cost_model, profiles, block_size: int) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
-        super().__init__(cost_model, profiles, plan_cache_entries)
+        super().__init__(cost_model, profiles)
         self.block_size = block_size
 
     @property
@@ -68,7 +65,7 @@ class FixedBlockScheduler(SpatialScheduler):
             budget = (sum(profile.layer_budgets_s[start:stop])
                       * self.budget_headroom)
             plan = BlockPlan(stop, block_required_cores(
-                self.cost_model, query, start, stop, versions, budget,
-                cap=cap), versions)
+                self.cost_model, unit_layers(query, start, stop), versions,
+                budget, cap=cap), versions)
             self._plan_cache.put(key, plan)
         return plan

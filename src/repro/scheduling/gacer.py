@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import DEFAULT_PLAN_CACHE_ENTRIES, BlockPlan
+from repro.scheduling.base import BlockPlan
 from repro.scheduling.fixed_block import FixedBlockScheduler
 
 
@@ -42,11 +42,8 @@ class GacerScheduler(FixedBlockScheduler):
     #: Completions per hill-climbing measurement window.
     window = 16
 
-    def __init__(self, cost_model, profiles,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
-        super().__init__(cost_model, profiles, block_size=12,
-                         plan_cache_entries=plan_cache_entries)
+    def __init__(self, cost_model, profiles) -> None:
+        super().__init__(cost_model, profiles, block_size=12)
         # Enough co-runners to cover the machine without shredding
         # grants below useful widths (≥ 8 units each).
         self.max_concurrency = max(2, min(8, cost_model.cpu.cores // 8))

@@ -24,14 +24,13 @@ from repro.scheduling.base import ModelProfile
 class PremaScheduler:
     """Token-based temporal multitasking, one query at a time."""
 
+    #: Preemption quantum: a chunk runs layers until it has filled this.
+    quantum_s = 2e-3
+
     def __init__(self, cost_model: CostModel,
-                 profiles: dict[str, ModelProfile],
-                 quantum_s: float = 2e-3) -> None:
-        if quantum_s <= 0:
-            raise ValueError("quantum_s must be positive")
+                 profiles: dict[str, ModelProfile]) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
-        self.quantum_s = quantum_s
 
     def _token_score(self, engine: Engine, query: Query) -> float:
         """PREMA token: priority x waiting time (+ progress tiebreak).

@@ -20,7 +20,7 @@ from repro.interference.proxy import (
 )
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import ModelProfile
+from repro.scheduling.base import ModelProfile, layer_required_cores
 from repro.scheduling.dynamic_block import DynamicBlockScheduler
 
 
@@ -68,12 +68,9 @@ class AdaptiveCompilation:
                profile.layer_budgets_s[index], pressure)
         cached = self._required_cache.get(key)
         if cached is None:
-            launch = self.cost_model.launch_s
-            budget = max(profile.layer_budgets_s[index] - launch, 1e-7)
-            cached = self.cost_model.required_cores(layer, version, budget,
-                                                    pressure)
-            if cached is None:
-                cached = self.cost_model.cpu.cores
+            cached = layer_required_cores(
+                self.cost_model, layer, version,
+                profile.layer_budgets_s[index], pressure)
             self._required_cache.put(key, cached)
         return cached
 

@@ -40,7 +40,7 @@ from repro.interference.proxy import (
 from repro.models.registry import get_entry, get_model, model_names
 from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
-from repro.runtime.tasks import Query
+from repro.runtime.tasks import Query, unit_duration
 from repro.scheduling.base import (
     DEFAULT_PLAN_CACHE_ENTRIES,
     ModelProfile,
@@ -392,13 +392,7 @@ class ServingStack:
     def isolated_model_latency(self, name: str,
                                cores: int | None = None) -> float:
         """Solo-run latency: the model alone on the machine (Fig. 13 base)."""
-        compiled = self.compiled[name]
-        profile = self.profiles[name]
         cores = cores if cores is not None else self.cpu.cores
-        launch = self.cost_model.launch_s
-        total = self.cost_model.spawn_overhead(cores)
-        for layer, version in zip(compiled.graph.layers,
-                                  profile.static_versions):
-            total += self.cost_model.latency(layer, version, cores,
-                                             0.0) + launch
-        return total
+        return unit_duration(self.cost_model,
+                             self.compiled[name].graph.layers,
+                             self.profiles[name].static_versions, cores, 0.0)

@@ -345,6 +345,7 @@ class TestPlanCacheBound:
                                      120, seed=4, spec=MIX)
 
         from repro.runtime.engine import Engine
+        from repro.runtime.pricing import PricingCache
         from repro.scheduling.veltair import VeltairScheduler
 
         unbounded = VeltairScheduler(light_stack.cost_model,
@@ -355,8 +356,9 @@ class TestPlanCacheBound:
         assert len(unbounded._required_cache) > 8  # the memo is live
 
         tiny = VeltairScheduler(light_stack.cost_model,
-                                light_stack.profiles, proxy=None,
-                                plan_cache_entries=8)
+                                light_stack.profiles, proxy=None)
+        tiny.share_memos((PricingCache(max_entries=8),
+                          PricingCache(max_entries=8)))
         engine_b = Engine(light_stack.cost_model,
                           price_cache=light_stack.price_cache)
         done_b = engine_b.run(queries_b, tiny)

@@ -10,6 +10,7 @@ from repro.models.layers import Conv2D, Pool
 from repro.compiler.costmodel import CostModel, CostModelParams
 from repro.compiler.schedule import Schedule
 from repro.compiler.space import ScheduleSpace
+from repro.scheduling.base import layer_required_cores, min_cores
 
 
 @pytest.fixture(scope="module")
@@ -112,25 +113,34 @@ class TestPaperPhenomena:
 
 
 class TestRequiredCores:
+    @staticmethod
+    def _search(model, layer, schedule, budget):
+        return min_cores(lambda c: model.latency(layer, schedule, c),
+                         budget, model.cpu.cores)
+
     def test_meets_budget(self, model, conv_layer, schedule):
         generous = model.latency(conv_layer, schedule, 4)
-        cores = model.required_cores(conv_layer, schedule, generous)
-        assert cores is not None
+        cores, met = self._search(model, conv_layer, schedule, generous)
+        assert met
         assert model.latency(conv_layer, schedule, cores) <= generous
 
     def test_minimality(self, model, conv_layer, schedule):
         budget = model.latency(conv_layer, schedule, 16) * 1.01
-        cores = model.required_cores(conv_layer, schedule, budget)
-        assert cores is not None
+        cores, met = self._search(model, conv_layer, schedule, budget)
+        assert met
         if cores > 1:
             assert model.latency(conv_layer, schedule, cores - 1) > budget
 
-    def test_impossible_budget_returns_none(self, model, conv_layer,
-                                            schedule):
-        assert model.required_cores(conv_layer, schedule, 1e-9) is None
+    def test_impossible_budget_is_unmet(self, model, conv_layer, schedule):
+        assert not self._search(model, conv_layer, schedule, 1e-9)[1]
+        # The per-layer sizing then grants the whole device.
+        assert (layer_required_cores(model, conv_layer, schedule, 1e-9)
+                == model.cpu.cores)
 
-    def test_zero_budget_returns_none(self, model, conv_layer, schedule):
-        assert model.required_cores(conv_layer, schedule, 0.0) is None
+    def test_zero_budget_is_unmet(self, model, conv_layer, schedule):
+        assert not self._search(model, conv_layer, schedule, 0.0)[1]
+        assert (layer_required_cores(model, conv_layer, schedule, 0.0)
+                == model.cpu.cores)
 
 
 class TestCountersAndPressure:

@@ -26,7 +26,7 @@ from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import batch_profile
+from repro.scheduling.base import batch_profile, layer_required_cores
 from repro.serving import WorkloadSpec
 from repro.serving.workload import scenario_queries
 from repro.telemetry import Tracer
@@ -454,13 +454,11 @@ class TestBatchProfiles:
         resized = 0
         for index, layer in enumerate(compiled.graph.layers):
             version = scheduler.version_for(fused, index, pressure)
-            budget = max(profile.layer_budgets_s[index]
-                         - cost_model.launch_s, 1e-7)
 
             def need(shape):
-                cores = cost_model.required_cores(shape, version, budget,
-                                                  pressure)
-                return cores if cores is not None else cost_model.cpu.cores
+                return layer_required_cores(
+                    cost_model, shape, version,
+                    profile.layer_budgets_s[index], pressure)
 
             expected = need(batched(layer, 4))
             assert scheduler.required_cores_for(

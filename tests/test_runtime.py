@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.allocator import AllocationError, CoreAllocator
 from repro.runtime.engine import Engine
-from repro.runtime.tasks import block_duration
+from repro.runtime.tasks import unit_duration, unit_layers
 from repro.serving.workload import scenario_queries, single_model
 
 
@@ -97,24 +97,25 @@ class TestBlockDuration:
     def test_rejects_bad_range(self, resnet_stack):
         queries = _resnet_queries(resnet_stack, 10, 1)
         with pytest.raises(ValueError):
-            block_duration(resnet_stack.cost_model, queries[0], 5, 5,
-                           (), 8, 0.0)
+            unit_layers(queries[0], 5, 5)
 
     def test_rejects_version_mismatch(self, resnet_stack):
         queries = _resnet_queries(resnet_stack, 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         with pytest.raises(ValueError):
-            block_duration(resnet_stack.cost_model, queries[0], 0, 3,
-                           profile.static_versions[0:2], 8, 0.0)
+            unit_duration(resnet_stack.cost_model,
+                          unit_layers(queries[0], 0, 3),
+                          profile.static_versions[0:2], 8, 0.0)
 
     def test_block_slower_under_interference(self, resnet_stack):
         queries = _resnet_queries(resnet_stack, 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         versions = profile.static_versions[0:5]
-        quiet = block_duration(resnet_stack.cost_model, queries[0], 0, 5,
-                               versions, 16, 0.0)
-        noisy = block_duration(resnet_stack.cost_model, queries[0], 0, 5,
-                               versions, 16, 0.9)
+        layers = unit_layers(queries[0], 0, 5)
+        quiet = unit_duration(resnet_stack.cost_model, layers, versions,
+                              16, 0.0)
+        noisy = unit_duration(resnet_stack.cost_model, layers, versions,
+                              16, 0.9)
         assert noisy > quiet
 
 

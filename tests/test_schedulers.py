@@ -172,12 +172,6 @@ class TestPrema:
         done = engine.run(queries, light_stack.make_scheduler("prema"))
         assert len(done) == 30
 
-    def test_rejects_bad_quantum(self, resnet_stack):
-        from repro.scheduling.prema import PremaScheduler
-        with pytest.raises(ValueError):
-            PremaScheduler(resnet_stack.cost_model, resnet_stack.profiles,
-                           quantum_s=0.0)
-
 
 def _mix_spec():
     from repro.serving.workload import WorkloadSpec
